@@ -239,6 +239,10 @@ class GpuRank {
   const TimeSeries& history() const { return history_; }
   const perfmodel::RankCostLog& cost_log() const { return cost_log_; }
   const gpusim::DeviceStats& device_stats() const { return dev_.stats(); }
+  const std::array<gpusim::DeviceStats, perfmodel::kNumPhases>&
+  device_by_phase() const {
+    return dev_by_phase_;
+  }
   const gpusim::KernelChecker* checker() const { return dev_.checker(); }
   /// KernelProf per-(phase,kernel) aggregates for this rank (empty when
   /// profiling is off).
@@ -305,12 +309,6 @@ class GpuRank {
   }
   static int opposite(int face) { return face ^ 1; }
 
-  LaunchConfig tile_launch(const char* name) const {
-    const std::uint64_t items = static_cast<std::uint64_t>(
-        tiles_.active_count() * static_cast<std::size_t>(lay_.slots_per_tile()));
-    const auto bd = static_cast<std::uint32_t>(params_.block_dim);
-    return {static_cast<std::uint32_t>((items + bd - 1) / bd), bd, name};
-  }
   LaunchConfig linear_launch(std::uint64_t items, const char* name) const {
     const auto bd = static_cast<std::uint32_t>(params_.block_dim);
     return {static_cast<std::uint32_t>(std::max<std::uint64_t>(
@@ -385,18 +383,17 @@ class GpuRank {
       if (nb < 0) continue;
       const std::size_t len = face_len(f);
       // Pack kernel: strip -> staging.
-      dev_.parallel_for(linear_launch(len, "halo_pack"), [&, f, len](auto& t) {
-        const std::uint64_t i = t.global_index();
-        if (i >= len) return;
-        std::int32_t x, y;
-        if (send_side == StripSide::kBoundary) {
-          boundary_xy(f, static_cast<std::uint32_t>(i), x, y);
-        } else {
-          ghost_xy(f, static_cast<std::uint32_t>(i), x, y);
-        }
-        auto src = t.global(buf);
-        auto dst = t.global(stg);
-        dst.write(i, src.read(lay_.index(x, y)));
+      for_each_item(len, "halo_pack", [&, f](auto& blk) {
+        return [&, f, src = blk.global(buf), dst = blk.global(stg)](
+                   std::uint64_t i) {
+          std::int32_t x, y;
+          if (send_side == StripSide::kBoundary) {
+            boundary_xy(f, static_cast<std::uint32_t>(i), x, y);
+          } else {
+            ghost_xy(f, static_cast<std::uint32_t>(i), x, y);
+          }
+          dst.write(i, src.read(lay_.index(x, y)));
+        };
       });
       host[static_cast<std::size_t>(f)].resize(len);
       stg.copy_to_host(std::span<T>(host[static_cast<std::size_t>(f)].data(), len));
@@ -414,26 +411,24 @@ class GpuRank {
       std::memcpy(recv.data(), data.data(), len * sizeof(T));
       stg.copy_from_host(std::span<const T>(recv.data(), len));
       // Unpack kernel: staging -> receive-side strip.
-      dev_.parallel_for(linear_launch(len, "halo_unpack"),
-                        [&, f, len](auto& t) {
-        const std::uint64_t i = t.global_index();
-        if (i >= len) return;
-        std::int32_t x, y;
-        if (send_side == StripSide::kBoundary) {
-          ghost_xy(f, static_cast<std::uint32_t>(i), x, y);
-        } else {
-          boundary_xy(f, static_cast<std::uint32_t>(i), x, y);
-        }
-        auto src = t.global(stg);
-        auto dst = t.global(buf);
-        const std::uint32_t slot = lay_.index(x, y);
-        if (mode == MergeMode::kMax) {
-          const T mine = dst.read(slot);
-          const T theirs = src.read(i);
-          dst.write(slot, std::max(mine, theirs));
-        } else {
-          dst.write(slot, src.read(i));
-        }
+      for_each_item(len, "halo_unpack", [&, f](auto& blk) {
+        return [&, f, src = blk.global(stg), dst = blk.global(buf)](
+                   std::uint64_t i) {
+          std::int32_t x, y;
+          if (send_side == StripSide::kBoundary) {
+            ghost_xy(f, static_cast<std::uint32_t>(i), x, y);
+          } else {
+            boundary_xy(f, static_cast<std::uint32_t>(i), x, y);
+          }
+          const std::uint32_t slot = lay_.index(x, y);
+          if (mode == MergeMode::kMax) {
+            const T mine = dst.read(slot);
+            const T theirs = src.read(i);
+            dst.write(slot, std::max(mine, theirs));
+          } else {
+            dst.write(slot, src.read(i));
+          }
+        };
       });
     }
     rank_.barrier();
@@ -474,114 +469,128 @@ class GpuRank {
   }
 
   // ---- kernels -------------------------------------------------------------------
-  /// Runs `body(x, y, slot)` for every interior voxel of every active tile.
-  /// One thread per tile voxel (slots_per_tile, not tile_stride: the stride
-  /// padding never gets a thread); slots are tile_stride-based so they land
-  /// in the padded storage.
-  template <typename F>
-  void for_active_voxels(const char* name, F&& body) {
-    const auto& list = tiles_.active_list();
-    if (list.empty()) return;
-    const std::uint32_t spt =
-        static_cast<std::uint32_t>(lay_.slots_per_tile());
-    const std::uint32_t ts = lay_.tile_stride();
-    const std::uint64_t items = list.size() * spt;
-    dev_.parallel_for(tile_launch(name), [&, items, spt, ts](auto& t) {
-      const std::uint64_t i = t.global_index();
-      if (i >= items) return;
-      auto tiles_view = t.global(active_tiles_dev_);
-      const std::uint32_t tile = tiles_view.read(i / spt);
-      const std::uint32_t slot = tile * ts + static_cast<std::uint32_t>(i % spt);
-      std::int32_t x, y;
-      lay_.slot_to_xy(slot, x, y);
-      if (x >= w_ || y >= h_) return;  // tile padding
-      body(t, x, y, slot);
+  /// Launches a kernel of `n` threads in linear_launch() blocks.  `bind(blk)`
+  /// runs once per block: it binds the kernel's buffers (a CUDA kernel's
+  /// pointer arguments) and returns the per-thread body, which runs as
+  /// `body(i)` for every thread index i < n.  One thread phase per block, so
+  /// the launch counts the same launches, blocks and threads as a flat
+  /// parallel_for of the same shape; binding per block instead of per
+  /// thread is host work only.
+  template <typename Bind>
+  void for_each_item(std::uint64_t n, const char* name, Bind&& bind) {
+    dev_.launch_blocks(linear_launch(n, name), [&, n](auto& blk) {
+      auto body = bind(blk);
+      const std::uint64_t first =
+          static_cast<std::uint64_t>(blk.block_idx()) * blk.block_dim();
+      blk.for_each_thread([&](std::uint32_t tid) {
+        if (first + tid < n) body(first + tid);
+      });
     });
   }
 
-  /// Runs `body(t, tile_id, iy, x0, y, n, row_base)` once per in-domain row
-  /// of every active tile: the vectorized concentrations sweep is one
-  /// thread per (active tile, tile row), and each thread processes its
-  /// row's `n` voxels with contiguous block accesses feeding the
-  /// auto-vectorized row kernels (core/stencil.hpp).  `row_base` is the
-  /// slot of the row's first voxel; rows of one tile are `tile_side` slots
-  /// apart inside the tile's tile_stride()-slot block.
-  template <typename F>
-  void for_active_rows(const char* name, F&& body) {
+  /// Runs a kernel over every interior voxel of every active tile: one
+  /// thread per tile voxel (slots_per_tile, not tile_stride: the stride
+  /// padding never gets a thread); slots are tile_stride-based so they land
+  /// in the padded storage.  A thread's (x, y) comes from its active-list
+  /// entry and in-tile offset, never from dividing the slot.  `bind(blk)`
+  /// returns the per-thread body `(x, y, slot)` (see for_each_item).
+  template <typename Bind>
+  void for_active_voxels(const char* name, Bind&& bind) {
     const auto& list = tiles_.active_list();
     if (list.empty()) return;
-    const auto tile = static_cast<std::uint32_t>(lay_.tile_side());
+    const DivU32 per_tile(static_cast<std::uint32_t>(lay_.slots_per_tile()));
     const std::uint32_t ts = lay_.tile_stride();
-    const auto tiles_x = static_cast<std::uint32_t>(lay_.tiles_x());
-    const std::uint64_t items = list.size() * tile;
-    dev_.parallel_for(linear_launch(items, name),
-                      [&, items, tile, ts, tiles_x](auto& t) {
-      const std::uint64_t i = t.global_index();
-      if (i >= items) return;
-      auto tiles_view = t.global(active_tiles_dev_);
-      const std::uint32_t tile_id = tiles_view.read(i / tile);
-      const auto iy = static_cast<std::uint32_t>(i % tile);
-      const auto tx = static_cast<std::int32_t>(tile_id % tiles_x);
-      const auto ty = static_cast<std::int32_t>(tile_id / tiles_x);
-      const std::int32_t y =
-          ty * static_cast<std::int32_t>(tile) + static_cast<std::int32_t>(iy);
-      if (y >= h_) return;  // y padding rows of edge tiles
-      const std::int32_t x0 = tx * static_cast<std::int32_t>(tile);
-      const std::int32_t n =
-          std::min(static_cast<std::int32_t>(tile), w_ - x0);
-      const std::uint32_t row_base = tile_id * ts + iy * tile;
-      body(t, tile_id, iy, x0, y, n, row_base);
+    for_each_item(list.size() * per_tile.divisor(), name, [&](auto& blk) {
+      return [&, per_tile, ts, tiles = blk.global(active_tiles_dev_),
+              body = bind(blk)](std::uint64_t i) {
+        const auto ui = static_cast<std::uint32_t>(i);
+        const std::uint32_t k = per_tile.div(ui);
+        const std::uint32_t in = ui - k * per_tile.divisor();
+        const std::uint32_t tile = tiles.read(k);
+        std::int32_t x, y;
+        lay_.tile_offset_to_xy(tile, in, x, y);
+        if (x >= w_ || y >= h_) return;  // tile padding
+        body(x, y, tile * ts + in);
+      };
+    });
+  }
+
+  /// Runs a kernel once per in-domain row of every active tile: the
+  /// vectorized concentrations sweep is one thread per (active tile, tile
+  /// row), and each thread processes its row's `row.n` voxels with
+  /// contiguous block accesses feeding the auto-vectorized row kernels
+  /// (core/stencil.hpp).  `bind(blk)` returns the per-thread body
+  /// `(tile_id, iy, row)`; rows of one tile are `tile_side` slots apart
+  /// inside the tile's tile_stride()-slot block.
+  template <typename Bind>
+  void for_active_rows(const char* name, Bind&& bind) {
+    const auto& list = tiles_.active_list();
+    if (list.empty()) return;
+    const DivU32 per_tile(static_cast<std::uint32_t>(lay_.tile_side()));
+    for_each_item(list.size() * per_tile.divisor(), name, [&](auto& blk) {
+      return [&, per_tile, tiles = blk.global(active_tiles_dev_),
+              body = bind(blk)](std::uint64_t i) {
+        const auto ui = static_cast<std::uint32_t>(i);
+        const std::uint32_t k = per_tile.div(ui);
+        const std::uint32_t iy = ui - k * per_tile.divisor();
+        const std::uint32_t tile_id = tiles.read(k);
+        const TiledLayout::TileRow row = lay_.tile_row(tile_id, iy);
+        if (row.n == 0) return;  // y padding rows of edge tiles
+        body(tile_id, iy, row);
+      };
     });
   }
 
   void k_clear_bids() {
-    for_active_voxels("k_clear_bids", [&](auto& t, std::int32_t, std::int32_t,
-                          std::uint32_t slot) {
-      t.global(bid_move_).write(slot, 0);
-      t.global(bid_bind_).write(slot, 0);
-      t.global(intent_kind_).write(slot, 0);
-      t.global(eligible_).write(slot, 0);
+    for_active_voxels("k_clear_bids", [&](auto& blk) {
+      return [bm = blk.global(bid_move_), bb = blk.global(bid_bind_),
+              kind = blk.global(intent_kind_), elig = blk.global(eligible_)](
+                 std::int32_t, std::int32_t, std::uint32_t slot) {
+        bm.write(slot, 0);
+        bb.write(slot, 0);
+        kind.write(slot, 0);
+        elig.write(slot, 0);
+      };
     });
     // Ghost region is a contiguous suffix of the layout.
     const std::uint32_t base = lay_.interior_slots();
     const std::uint64_t n = lay_.size() - base;
-    dev_.parallel_for(linear_launch(n, "k_clear_bids_ghost"),
-                      [&, base, n](auto& t) {
-      const std::uint64_t i = t.global_index();
-      if (i >= n) return;
-      const std::size_t slot = base + i;
-      t.global(bid_move_).write(slot, 0);
-      t.global(bid_bind_).write(slot, 0);
-      t.global(intent_kind_).write(slot, 0);
+    for_each_item(n, "k_clear_bids_ghost", [&](auto& blk) {
+      return [base, bm = blk.global(bid_move_), bb = blk.global(bid_bind_),
+              kind = blk.global(intent_kind_)](std::uint64_t i) {
+        const std::size_t slot = base + i;
+        bm.write(slot, 0);
+        bb.write(slot, 0);
+        kind.write(slot, 0);
+      };
     });
   }
 
   void k_age_and_occupancy() {
-    for_active_voxels("k_age_and_occupancy", [&](auto& t, std::int32_t, std::int32_t,
-                          std::uint32_t slot) {
-      auto tc = t.global(tcell_);
-      auto occ = t.global(occupancy_);
-      if (!tc.read(slot)) {
-        occ.write(slot, 0);
-        return;
-      }
-      auto bind = t.global(tcell_bind_);
-      auto timer = t.global(tcell_timer_);
-      auto elig = t.global(eligible_);
-      const std::uint32_t b = bind.read(slot);
-      if (b > 0) {
-        bind.write(slot, b - 1);
-      } else {
-        const std::uint32_t life = timer.read(slot);
-        if (life <= 1) {
-          tc.write(slot, 0);
-          timer.write(slot, 0);
-        } else {
-          timer.write(slot, life - 1);
-          elig.write(slot, 1);
+    for_active_voxels("k_age_and_occupancy", [&](auto& blk) {
+      return [tc = blk.global(tcell_), occ = blk.global(occupancy_),
+              bind = blk.global(tcell_bind_), timer = blk.global(tcell_timer_),
+              elig = blk.global(eligible_)](std::int32_t, std::int32_t,
+                                            std::uint32_t slot) {
+        if (!tc.read(slot)) {
+          occ.write(slot, 0);
+          return;
         }
-      }
-      occ.write(slot, tc.read(slot));
+        const std::uint32_t b = bind.read(slot);
+        if (b > 0) {
+          bind.write(slot, b - 1);
+        } else {
+          const std::uint32_t life = timer.read(slot);
+          if (life <= 1) {
+            tc.write(slot, 0);
+            timer.write(slot, 0);
+          } else {
+            timer.write(slot, life - 1);
+            elig.write(slot, 1);
+          }
+        }
+        occ.write(slot, tc.read(slot));
+      };
     });
   }
 
@@ -591,60 +600,63 @@ class GpuRank {
   void k_ghost_occupancy() {
     const std::uint32_t base = lay_.interior_slots();
     const std::uint64_t n = lay_.size() - base;
-    dev_.parallel_for(linear_launch(n, "k_ghost_occupancy"),
-                      [&, base, n](auto& t) {
-      const std::uint64_t i = t.global_index();
-      if (i >= n) return;
-      const std::size_t slot = base + i;
-      auto tc = t.global(tcell_);
-      std::uint8_t occ = 0;
-      if (tc.read(slot)) {
-        const std::uint32_t b = t.global(tcell_bind_).read(slot);
-        const std::uint32_t life = t.global(tcell_timer_).read(slot);
-        occ = (b > 0 || life > 1) ? 1 : 0;
-      }
-      t.global(occupancy_).write(slot, occ);
+    for_each_item(n, "k_ghost_occupancy", [&](auto& blk) {
+      return [base, tc = blk.global(tcell_), bind = blk.global(tcell_bind_),
+              timer = blk.global(tcell_timer_),
+              occ = blk.global(occupancy_)](std::uint64_t i) {
+        const std::size_t slot = base + i;
+        std::uint8_t blocked = 0;
+        if (tc.read(slot)) {
+          const std::uint32_t b = bind.read(slot);
+          const std::uint32_t life = timer.read(slot);
+          blocked = (b > 0 || life > 1) ? 1 : 0;
+        }
+        occ.write(slot, blocked);
+      };
     });
   }
 
   void k_intents() {
     const std::uint64_t step = step_;
-    for_active_voxels("k_intents", [&, step](auto& t, std::int32_t x,
-                                              std::int32_t y,
-                                              std::uint32_t slot) {
-      if (!t.global(eligible_).read(slot)) return;
-      auto epi = t.global(epi_state_);
-      // Neighbour view in contract order over the *global* grid bounds.
-      rules::NeighbourView nb;
-      const std::int32_t gx = sub_.origin.x + x, gy = sub_.origin.y + y;
-      const std::array<std::array<std::int32_t, 2>, 4> offs{
-          {{-1, 0}, {+1, 0}, {0, -1}, {0, +1}}};
-      for (const auto& o : offs) {
-        const std::int32_t nx = gx + o[0], ny = gy + o[1];
-        if (nx < 0 || nx >= grid_.dim_x() || ny < 0 || ny >= grid_.dim_y())
-          continue;
-        const std::uint32_t ns = lay_.index(x + o[0], y + o[1]);
-        nb.ids[static_cast<std::size_t>(nb.count)] =
-            static_cast<VoxelId>(ny) * grid_.dim_x() + nx;
-        nb.epi[static_cast<std::size_t>(nb.count)] =
-            static_cast<EpiState>(epi.read(ns));
-        ++nb.count;
-      }
-      const VoxelId v = gid(x, y);
-      const rules::Intent intent = rules::tcell_intent(
-          rng_, step, v, static_cast<EpiState>(epi.read(slot)), nb);
-      if (intent.kind == rules::IntentKind::kNone) return;
-      t.global(intent_kind_).write(slot,
-                                   static_cast<std::uint8_t>(intent.kind));
-      t.global(intent_target_).write(slot, intent.target);
-      t.global(intent_bid_).write(slot, intent.bid);
-      t.global(intent_timer_).write(slot, t.global(tcell_timer_).read(slot));
-      // "Assign winners": store the bid at the target (atomicMax); the
-      // target may be a ghost slot.
-      const std::uint32_t tslot = slot_of_global(intent.target);
-      auto& field = (intent.kind == rules::IntentKind::kMove) ? bid_move_
-                                                              : bid_bind_;
-      t.global(field).atomic_max(tslot, intent.bid);
+    for_active_voxels("k_intents", [&, step](auto& blk) {
+      return [&, step, elig = blk.global(eligible_),
+              epi = blk.global(epi_state_), kind = blk.global(intent_kind_),
+              target = blk.global(intent_target_), bid = blk.global(intent_bid_),
+              itimer = blk.global(intent_timer_),
+              timer = blk.global(tcell_timer_), bm = blk.global(bid_move_),
+              bb = blk.global(bid_bind_)](std::int32_t x, std::int32_t y,
+                                          std::uint32_t slot) {
+        if (!elig.read(slot)) return;
+        // Neighbour view in contract order over the *global* grid bounds.
+        rules::NeighbourView nb;
+        const std::int32_t gx = sub_.origin.x + x, gy = sub_.origin.y + y;
+        const std::array<std::array<std::int32_t, 2>, 4> offs{
+            {{-1, 0}, {+1, 0}, {0, -1}, {0, +1}}};
+        for (const auto& o : offs) {
+          const std::int32_t nx = gx + o[0], ny = gy + o[1];
+          if (nx < 0 || nx >= grid_.dim_x() || ny < 0 || ny >= grid_.dim_y())
+            continue;
+          const std::uint32_t ns = lay_.index(x + o[0], y + o[1]);
+          nb.ids[static_cast<std::size_t>(nb.count)] =
+              static_cast<VoxelId>(ny) * grid_.dim_x() + nx;
+          nb.epi[static_cast<std::size_t>(nb.count)] =
+              static_cast<EpiState>(epi.read(ns));
+          ++nb.count;
+        }
+        const VoxelId v = gid(x, y);
+        const rules::Intent intent = rules::tcell_intent(
+            rng_, step, v, static_cast<EpiState>(epi.read(slot)), nb);
+        if (intent.kind == rules::IntentKind::kNone) return;
+        kind.write(slot, static_cast<std::uint8_t>(intent.kind));
+        target.write(slot, intent.target);
+        bid.write(slot, intent.bid);
+        itimer.write(slot, timer.read(slot));
+        // "Assign winners": store the bid at the target (atomicMax); the
+        // target may be a ghost slot.
+        const std::uint32_t tslot = slot_of_global(intent.target);
+        const auto& field = (intent.kind == rules::IntentKind::kMove) ? bm : bb;
+        field.atomic_max(tslot, intent.bid);
+      };
     });
   }
 
@@ -666,78 +678,89 @@ class GpuRank {
   }
 
   void k_moves_own() {
-    for_active_voxels("k_moves_own", [&](auto& t, std::int32_t, std::int32_t,
-                          std::uint32_t slot) {
-      if (t.global(intent_kind_).read(slot) !=
-          static_cast<std::uint8_t>(rules::IntentKind::kMove))
-        return;
-      const VoxelId target = t.global(intent_target_).read(slot);
-      const std::uint64_t bid = t.global(intent_bid_).read(slot);
-      const std::uint32_t tslot = slot_of_global(target);
-      if (t.global(bid_move_).read(tslot) != bid) return;   // lost tiebreak
-      if (t.global(occupancy_).read(tslot)) return;         // ran into a cell
-      // Winner: erase at the source; instantiate when the target is ours
-      // (otherwise the owner instantiates from our exchanged intent).
-      auto tc = t.global(tcell_);
-      auto timer = t.global(tcell_timer_);
-      if (global_is_mine(target)) {
-        tc.write(tslot, 1);
-        timer.write(tslot, timer.read(slot));
-        t.global(tcell_bind_).write(tslot, 0);
-      }
-      tc.write(slot, 0);
-      timer.write(slot, 0);
+    for_active_voxels("k_moves_own", [&](auto& blk) {
+      return [&, kind = blk.global(intent_kind_),
+              targets = blk.global(intent_target_),
+              bids = blk.global(intent_bid_), bm = blk.global(bid_move_),
+              occ = blk.global(occupancy_), tc = blk.global(tcell_),
+              timer = blk.global(tcell_timer_), bind = blk.global(tcell_bind_)](
+                 std::int32_t, std::int32_t, std::uint32_t slot) {
+        if (kind.read(slot) !=
+            static_cast<std::uint8_t>(rules::IntentKind::kMove))
+          return;
+        const VoxelId target = targets.read(slot);
+        const std::uint64_t bid = bids.read(slot);
+        const std::uint32_t tslot = slot_of_global(target);
+        if (bm.read(tslot) != bid) return;   // lost tiebreak
+        if (occ.read(tslot)) return;         // ran into a cell
+        // Winner: erase at the source; instantiate when the target is ours
+        // (otherwise the owner instantiates from our exchanged intent).
+        if (global_is_mine(target)) {
+          tc.write(tslot, 1);
+          timer.write(tslot, timer.read(slot));
+          bind.write(tslot, 0);
+        }
+        tc.write(slot, 0);
+        timer.write(slot, 0);
+      };
     });
   }
 
   void k_moves_entrants() {
     const std::uint32_t base = lay_.interior_slots();
     const std::uint64_t n = lay_.size() - base;
-    dev_.parallel_for(linear_launch(n, "k_moves_entrants"),
-                      [&, base, n](auto& t) {
-      const std::uint64_t i = t.global_index();
-      if (i >= n) return;
-      const std::size_t slot = base + i;
-      if (t.global(intent_kind_).read(slot) !=
-          static_cast<std::uint8_t>(rules::IntentKind::kMove))
-        return;
-      const VoxelId target = t.global(intent_target_).read(slot);
-      if (!global_is_mine(target)) return;
-      const std::uint64_t bid = t.global(intent_bid_).read(slot);
-      const std::uint32_t tslot = slot_of_global(target);
-      if (t.global(bid_move_).read(tslot) != bid) return;
-      if (t.global(occupancy_).read(tslot)) return;
-      t.global(tcell_).write(tslot, 1);
-      t.global(tcell_timer_).write(tslot,
-                                   t.global(intent_timer_).read(slot));
-      t.global(tcell_bind_).write(tslot, 0);
+    for_each_item(n, "k_moves_entrants", [&](auto& blk) {
+      return [&, base, kind = blk.global(intent_kind_),
+              targets = blk.global(intent_target_),
+              bids = blk.global(intent_bid_), bm = blk.global(bid_move_),
+              occ = blk.global(occupancy_), tc = blk.global(tcell_),
+              timer = blk.global(tcell_timer_),
+              itimer = blk.global(intent_timer_),
+              bind = blk.global(tcell_bind_)](std::uint64_t i) {
+        const std::size_t slot = base + i;
+        if (kind.read(slot) !=
+            static_cast<std::uint8_t>(rules::IntentKind::kMove))
+          return;
+        const VoxelId target = targets.read(slot);
+        if (!global_is_mine(target)) return;
+        const std::uint64_t bid = bids.read(slot);
+        const std::uint32_t tslot = slot_of_global(target);
+        if (bm.read(tslot) != bid) return;
+        if (occ.read(tslot)) return;
+        tc.write(tslot, 1);
+        timer.write(tslot, itimer.read(slot));
+        bind.write(tslot, 0);
+      };
     });
   }
 
   void k_binds_own() {
     const std::uint64_t step = step_;
-    for_active_voxels("k_binds_own", [&, step](auto& t, std::int32_t,
-                                               std::int32_t,
+    for_active_voxels("k_binds_own", [&, step](auto& blk) {
+      return [&, step, kind = blk.global(intent_kind_),
+              targets = blk.global(intent_target_),
+              bids = blk.global(intent_bid_), bb = blk.global(bid_bind_),
+              epi = blk.global(epi_state_), bind = blk.global(tcell_bind_),
+              etimer = blk.global(epi_timer_)](std::int32_t, std::int32_t,
                                                std::uint32_t slot) {
-      if (t.global(intent_kind_).read(slot) !=
-          static_cast<std::uint8_t>(rules::IntentKind::kBind))
-        return;
-      const VoxelId target = t.global(intent_target_).read(slot);
-      const std::uint64_t bid = t.global(intent_bid_).read(slot);
-      const std::uint32_t tslot = slot_of_global(target);
-      if (t.global(bid_bind_).read(tslot) != bid) return;
-      auto epi = t.global(epi_state_);
-      if (static_cast<EpiState>(epi.read(tslot)) != EpiState::kExpressing)
-        return;
-      t.global(tcell_bind_).write(
-          slot, static_cast<std::uint32_t>(params_.tcell_binding_period));
-      if (global_is_mine(target)) {
-        epi.write(tslot, static_cast<std::uint8_t>(EpiState::kApoptotic));
-        t.global(epi_timer_).write(
-            tslot, rules::sample_period(rng_, step, target,
-                                        RngStream::kApoptosisPeriod,
-                                        params_.apoptosis_period));
-      }
+        if (kind.read(slot) !=
+            static_cast<std::uint8_t>(rules::IntentKind::kBind))
+          return;
+        const VoxelId target = targets.read(slot);
+        const std::uint64_t bid = bids.read(slot);
+        const std::uint32_t tslot = slot_of_global(target);
+        if (bb.read(tslot) != bid) return;
+        if (static_cast<EpiState>(epi.read(tslot)) != EpiState::kExpressing)
+          return;
+        bind.write(slot,
+                   static_cast<std::uint32_t>(params_.tcell_binding_period));
+        if (global_is_mine(target)) {
+          epi.write(tslot, static_cast<std::uint8_t>(EpiState::kApoptotic));
+          etimer.write(tslot, rules::sample_period(rng_, step, target,
+                                                   RngStream::kApoptosisPeriod,
+                                                   params_.apoptosis_period));
+        }
+      };
     });
   }
 
@@ -745,27 +768,28 @@ class GpuRank {
     const std::uint64_t step = step_;
     const std::uint32_t base = lay_.interior_slots();
     const std::uint64_t n = lay_.size() - base;
-    dev_.parallel_for(linear_launch(n, "k_binds_ghost"),
-                      [&, step, base, n](auto& t) {
-      const std::uint64_t i = t.global_index();
-      if (i >= n) return;
-      const std::size_t slot = base + i;
-      if (t.global(intent_kind_).read(slot) !=
-          static_cast<std::uint8_t>(rules::IntentKind::kBind))
-        return;
-      const VoxelId target = t.global(intent_target_).read(slot);
-      if (!global_is_mine(target)) return;
-      const std::uint64_t bid = t.global(intent_bid_).read(slot);
-      const std::uint32_t tslot = slot_of_global(target);
-      if (t.global(bid_bind_).read(tslot) != bid) return;
-      auto epi = t.global(epi_state_);
-      if (static_cast<EpiState>(epi.read(tslot)) != EpiState::kExpressing)
-        return;
-      epi.write(tslot, static_cast<std::uint8_t>(EpiState::kApoptotic));
-      t.global(epi_timer_).write(
-          tslot, rules::sample_period(rng_, step, target,
-                                      RngStream::kApoptosisPeriod,
-                                      params_.apoptosis_period));
+    for_each_item(n, "k_binds_ghost", [&](auto& blk) {
+      return [&, step, base, kind = blk.global(intent_kind_),
+              targets = blk.global(intent_target_),
+              bids = blk.global(intent_bid_), bb = blk.global(bid_bind_),
+              epi = blk.global(epi_state_),
+              etimer = blk.global(epi_timer_)](std::uint64_t i) {
+        const std::size_t slot = base + i;
+        if (kind.read(slot) !=
+            static_cast<std::uint8_t>(rules::IntentKind::kBind))
+          return;
+        const VoxelId target = targets.read(slot);
+        if (!global_is_mine(target)) return;
+        const std::uint64_t bid = bids.read(slot);
+        const std::uint32_t tslot = slot_of_global(target);
+        if (bb.read(tslot) != bid) return;
+        if (static_cast<EpiState>(epi.read(tslot)) != EpiState::kExpressing)
+          return;
+        epi.write(tslot, static_cast<std::uint8_t>(EpiState::kApoptotic));
+        etimer.write(tslot, rules::sample_period(rng_, step, target,
+                                                 RngStream::kApoptosisPeriod,
+                                                 params_.apoptosis_period));
+      };
     });
   }
 
@@ -809,18 +833,18 @@ class GpuRank {
 
   void k_epithelial() {
     const std::uint64_t step = step_;
-    for_active_voxels("k_epithelial", [&, step](auto& t, std::int32_t x,
-                                                 std::int32_t y,
-                                                 std::uint32_t slot) {
-      auto epi = t.global(epi_state_);
-      const auto s = static_cast<EpiState>(epi.read(slot));
-      if (s == EpiState::kEmpty || s == EpiState::kDead) return;
-      auto timer = t.global(epi_timer_);
-      const rules::EpiUpdate u = rules::update_epithelial(
-          rng_, step, gid(x, y), s, timer.read(slot),
-          t.global(virus_).read(slot), params_);
-      epi.write(slot, static_cast<std::uint8_t>(u.state));
-      timer.write(slot, u.timer);
+    for_active_voxels("k_epithelial", [&, step](auto& blk) {
+      return [&, step, epi = blk.global(epi_state_),
+              timer = blk.global(epi_timer_), vir = blk.global(virus_)](
+                 std::int32_t x, std::int32_t y, std::uint32_t slot) {
+        const auto s = static_cast<EpiState>(epi.read(slot));
+        if (s == EpiState::kEmpty || s == EpiState::kDead) return;
+        const rules::EpiUpdate u = rules::update_epithelial(
+            rng_, step, gid(x, y), s, timer.read(slot), vir.read(slot),
+            params_);
+        epi.write(slot, static_cast<std::uint8_t>(u.state));
+        timer.write(slot, u.timer);
+      };
     });
   }
 
@@ -847,14 +871,16 @@ class GpuRank {
 
     // Production + decay into tmp, one vectorized row per thread (tmp is
     // all-zero outside active tiles).
-    for_active_rows("field_produce_decay",
-                    [&](auto& t, std::uint32_t, std::uint32_t, std::int32_t,
-                        std::int32_t, std::int32_t n, std::uint32_t row_base) {
-      const auto un = static_cast<std::size_t>(n);
-      const std::uint8_t* epi = t.global(epi_state_).read_block(row_base, un);
-      const float* f = t.global(field).read_block(row_base, un);
-      float* out = t.global(tmp_).write_block(row_base, un);
-      stencil::produce_decay_row(f, epi, out, n, is_virus, production, decay);
+    for_active_rows("field_produce_decay", [&](auto& blk) {
+      return [&, epi = blk.global(epi_state_), src = blk.global(field),
+              dst = blk.global(tmp_)](std::uint32_t, std::uint32_t,
+                                      const TiledLayout::TileRow& row) {
+        const auto un = static_cast<std::size_t>(row.n);
+        stencil::produce_decay_row(src.read_block(row.base, un),
+                                   epi.read_block(row.base, un),
+                                   dst.write_block(row.base, un), row.n,
+                                   is_virus, production, decay);
+      };
     });
     // Boundary tmp -> neighbour ghosts (diffusion reads this-step values).
     exchange(tmp_, kPTmp, StripSide::kBoundary, MergeMode::kOverwrite);
@@ -862,107 +888,113 @@ class GpuRank {
     // vectorizes (its -x/+x neighbours sit at c[j-1]/c[j+1]); the two
     // row-edge voxels are peeled onto the scalar gather, which handles
     // cross-tile/ghost x neighbours and the global-x-edge neighbour count.
-    for_active_rows("field_diffuse",
-                    [&](auto& t, std::uint32_t tile_id, std::uint32_t iy,
-                        std::int32_t x0, std::int32_t y, std::int32_t n,
-                        std::uint32_t row_base) {
-      auto tmp = t.global(tmp_);
-      const auto un = static_cast<std::size_t>(n);
-      const float* c = tmp.read_block(row_base, un);
-      // -y neighbour row: previous row of this tile, bottom row of the
-      // tile above, or the y = -1 ghost strip.
-      const float* ym;
-      if (iy > 0) {
-        ym = tmp.read_block(row_base - tile, un);
-      } else if (y > 0) {
-        ym = tmp.read_block((tile_id - tiles_x) * ts + (tile - 1) * tile, un);
-      } else {
-        ym = tmp.read_block(ghost_yneg + static_cast<std::uint32_t>(x0), un);
-      }
-      // +y neighbour row: next row of this tile, top row of the tile
-      // below, or the y = h ghost strip.
-      const float* yp;
-      if (y + 1 >= h_) {
-        yp = tmp.read_block(ghost_ypos + static_cast<std::uint32_t>(x0), un);
-      } else if (iy + 1 < tile) {
-        yp = tmp.read_block(row_base + tile, un);
-      } else {
-        yp = tmp.read_block((tile_id + tiles_x) * ts, un);
-      }
-      float* out = t.global(field).write_block(row_base, un);
-      const std::int32_t gy = sub_.origin.y + y;
-      const int cnt_row =
-          2 + (gy > 0 ? 1 : 0) + (gy + 1 < grid_.dim_y() ? 1 : 0);
-      if (n > 2) {
-        stencil::diffuse_row(c + 1, ym + 1, yp + 1, out + 1, n - 2, cnt_row,
-                             diffusion, floor_eps);
-      }
-      const std::int32_t last = n - 1;
-      for (std::int32_t ix = 0; ix <= last; ix += (last > 0 ? last : 1)) {
-        const std::int32_t x = x0 + ix;
-        const std::int32_t gx = sub_.origin.x + x;
-        double sum = 0.0;
-        int cnt = 0;
-        const std::array<std::array<std::int32_t, 2>, 4> offs{
-            {{-1, 0}, {+1, 0}, {0, -1}, {0, +1}}};
-        for (const auto& o : offs) {
-          const std::int32_t nx = gx + o[0], ny = gy + o[1];
-          if (nx < 0 || nx >= grid_.dim_x() || ny < 0 || ny >= grid_.dim_y())
-            continue;
-          sum +=
-              static_cast<double>(tmp.read(lay_.index(x + o[0], y + o[1])));
-          ++cnt;
+    for_active_rows("field_diffuse", [&](auto& blk) {
+      return [&, tmp = blk.global(tmp_), dst = blk.global(field)](
+                 std::uint32_t tile_id, std::uint32_t iy,
+                 const TiledLayout::TileRow& row) {
+        const std::uint32_t row_base = row.base;
+        const std::int32_t x0 = row.x0, y = row.y, n = row.n;
+        const auto un = static_cast<std::size_t>(n);
+        const float* c = tmp.read_block(row_base, un);
+        // -y neighbour row: previous row of this tile, bottom row of the
+        // tile above, or the y = -1 ghost strip.
+        const float* ym;
+        if (iy > 0) {
+          ym = tmp.read_block(row_base - tile, un);
+        } else if (y > 0) {
+          ym = tmp.read_block((tile_id - tiles_x) * ts + (tile - 1) * tile, un);
+        } else {
+          ym = tmp.read_block(ghost_yneg + static_cast<std::uint32_t>(x0), un);
         }
-        out[ix] = rules::diffuse(c[ix], sum, cnt, diffusion, floor_eps);
-        if (last == 0) break;
-      }
+        // +y neighbour row: next row of this tile, top row of the tile
+        // below, or the y = h ghost strip.
+        const float* yp;
+        if (y + 1 >= h_) {
+          yp = tmp.read_block(ghost_ypos + static_cast<std::uint32_t>(x0), un);
+        } else if (iy + 1 < tile) {
+          yp = tmp.read_block(row_base + tile, un);
+        } else {
+          yp = tmp.read_block((tile_id + tiles_x) * ts, un);
+        }
+        float* out = dst.write_block(row_base, un);
+        const std::int32_t gy = sub_.origin.y + y;
+        const int cnt_row =
+            2 + (gy > 0 ? 1 : 0) + (gy + 1 < grid_.dim_y() ? 1 : 0);
+        if (n > 2) {
+          stencil::diffuse_row(c + 1, ym + 1, yp + 1, out + 1, n - 2, cnt_row,
+                               diffusion, floor_eps);
+        }
+        const std::int32_t last = n - 1;
+        for (std::int32_t ix = 0; ix <= last; ix += (last > 0 ? last : 1)) {
+          const std::int32_t x = x0 + ix;
+          const std::int32_t gx = sub_.origin.x + x;
+          double sum = 0.0;
+          int cnt = 0;
+          const std::array<std::array<std::int32_t, 2>, 4> offs{
+              {{-1, 0}, {+1, 0}, {0, -1}, {0, +1}}};
+          for (const auto& o : offs) {
+            const std::int32_t nx = gx + o[0], ny = gy + o[1];
+            if (nx < 0 || nx >= grid_.dim_x() || ny < 0 || ny >= grid_.dim_y())
+              continue;
+            sum +=
+                static_cast<double>(tmp.read(lay_.index(x + o[0], y + o[1])));
+            ++cnt;
+          }
+          out[ix] = rules::diffuse(c[ix], sum, cnt, diffusion, floor_eps);
+          if (last == 0) break;
+        }
+      };
     });
     // Re-zero tmp for the next field (active rows + ghost strips only —
     // everything else was never written).
-    for_active_rows("field_rezero",
-                    [&](auto& t, std::uint32_t, std::uint32_t, std::int32_t,
-                        std::int32_t, std::int32_t n, std::uint32_t row_base) {
-      float* out =
-          t.global(tmp_).write_block(row_base, static_cast<std::size_t>(n));
-      for (std::int32_t j = 0; j < n; ++j) out[j] = 0.0f;
+    for_active_rows("field_rezero", [&](auto& blk) {
+      return [tmp = blk.global(tmp_)](std::uint32_t, std::uint32_t,
+                                      const TiledLayout::TileRow& row) {
+        float* out = tmp.write_block(row.base, static_cast<std::size_t>(row.n));
+        for (std::int32_t j = 0; j < row.n; ++j) out[j] = 0.0f;
+      };
     });
     const std::uint32_t base = lay_.interior_slots();
-    const std::uint64_t n = lay_.size() - base;
-    dev_.parallel_for(linear_launch(n, "field_rezero_ghost"),
-                      [&, base, n](auto& t) {
-      const std::uint64_t i = t.global_index();
-      if (i >= n) return;
-      t.global(tmp_).write(base + i, 0.0f);
+    for_each_item(lay_.size() - base, "field_rezero_ghost", [&](auto& blk) {
+      return [base, tmp = blk.global(tmp_)](std::uint64_t i) {
+        tmp.write(base + i, 0.0f);
+      };
     });
   }
 
   void run_tile_sweep() {
     obs::ScopedSpan span("tile_sweep_scan", rank_.id());
     // One block per tile scans its voxels; the block flag lives in shared
-    // memory and one thread publishes it (§3.2).
+    // memory and one thread publishes it (§3.2).  Thread tid walks row tid
+    // of the tile, so the row's virus values arrive as one block read; the
+    // other fields are read per voxel, short-circuited exactly as a
+    // per-voxel thread would, so the counted bytes match one thread per
+    // voxel.
     const auto spt = static_cast<std::uint32_t>(lay_.slots_per_tile());
-    const std::uint32_t ts = lay_.tile_stride();
+    const auto tile = static_cast<std::uint32_t>(lay_.tile_side());
     const std::uint32_t bd = std::min<std::uint32_t>(spt, 1024);
     dev_.launch_blocks(
         {static_cast<std::uint32_t>(lay_.num_tiles()), bd, "tile_sweep"},
-        [&, ts](auto& blk) {
+        [&, tile](auto& blk) {
           // One flag slot per thread: every thread writing a single shared
           // found[0] in the same phase is a write-write race on real
           // hardware (the old code relied on all writers storing the same
           // value); the per-thread slots are OR-folded by thread 0 in the
           // publishing phase, after the implicit __syncthreads.
           auto found = blk.template shared<std::uint32_t>(bd);
+          auto epi = blk.global(epi_state_);
+          auto tc = blk.global(tcell_);
+          auto che = blk.global(chem_);
+          auto virus = blk.global(virus_);
           blk.for_each_thread([&](std::uint32_t tid) {
-            auto epi = blk.global(epi_state_);
-            auto tc = blk.global(tcell_);
-            auto vir = blk.global(virus_);
-            auto che = blk.global(chem_);
-            for (std::uint32_t i = tid; i < spt; i += bd) {
-              const std::uint32_t slot = blk.block_idx() * ts + i;
-              std::int32_t x, y;
-              lay_.slot_to_xy(slot, x, y);
-              if (x >= w_ || y >= h_) continue;  // tile padding
-              if (vir.read(slot) > 0.0f || che.read(slot) > 0.0f ||
+            if (tid >= tile) return;
+            const TiledLayout::TileRow row = lay_.tile_row(blk.block_idx(), tid);
+            if (row.n == 0) return;  // y padding rows of edge tiles
+            const float* vir =
+                virus.read_block(row.base, static_cast<std::size_t>(row.n));
+            for (std::int32_t j = 0; j < row.n; ++j) {
+              const std::uint32_t slot = row.base + static_cast<std::uint32_t>(j);
+              if (vir[j] > 0.0f || che.read(slot) > 0.0f ||
                   tc.read(slot) != 0 ||
                   transient_epi(static_cast<EpiState>(epi.read(slot)))) {
                 found[tid] = 1;
@@ -1057,6 +1089,11 @@ class GpuRank {
     const std::uint32_t blocks = static_cast<std::uint32_t>(std::clamp<std::uint64_t>(
         n / (static_cast<std::uint64_t>(bd) * 8), 1, 256));
     const std::uint64_t stride = static_cast<std::uint64_t>(blocks) * bd;
+    // Threads take tile rows (layout row numbering) grid-stride and read
+    // each row with one block access per field: every in-domain voxel is
+    // read exactly once, as in a per-slot walk, so bytes are unchanged.
+    const std::uint64_t rows =
+        static_cast<std::uint64_t>(lay_.num_tiles()) * lay_.tile_side();
     if (blocks > 1) {
       // With several blocks the per-block partial sums meet in global
       // memory through one FP atomic_add per stat, so block order can
@@ -1066,26 +1103,39 @@ class GpuRank {
           "cross-block FP atomic merge of partial sums");
     }
     dev_.launch_blocks({blocks, bd, "reduce_tree"},
-                       [&, n, bd, stride](auto& blk) {
+                       [&, rows, bd, stride](auto& blk) {
       auto sh = blk.template shared<double>(static_cast<std::size_t>(bd) *
                                             kNumDevStats);
+      auto epi = blk.global(epi_state_);
+      auto tc = blk.global(tcell_);
+      auto vir = blk.global(virus_);
+      auto che = blk.global(chem_);
       blk.for_each_thread([&](std::uint32_t tid) {
-        auto epi = blk.global(epi_state_);
-        auto tc = blk.global(tcell_);
-        auto vir = blk.global(virus_);
-        auto che = blk.global(chem_);
-        std::array<double, kNumDevStats> acc{};
-        for (std::uint64_t i = blk.block_idx() * bd + tid; i < n; i += stride) {
-          std::int32_t x, y;
-          lay_.slot_to_xy(static_cast<std::uint32_t>(i), x, y);
-          if (x >= w_ || y >= h_) continue;
-          acc[0] += static_cast<double>(vir.read(i));
-          acc[1] += static_cast<double>(che.read(i));
-          acc[static_cast<std::size_t>(2 + epi.read(i))] += 1.0;
-          if (tc.read(i)) acc[2 + kNumEpiStates] += 1.0;
+        double virus = 0.0, chem = 0.0;
+        // Counts (epithelial states, then T cells) are integers: summing
+        // them as integers gives the same doubles as adding 1.0 each time.
+        std::array<std::uint32_t, kNumDevStats - 2> counts{};
+        for (std::uint64_t r = blk.block_idx() * bd + tid; r < rows;
+             r += stride) {
+          const TiledLayout::TileRow row =
+              lay_.row(static_cast<std::uint32_t>(r));
+          if (row.n == 0) continue;  // y padding rows of edge tiles
+          const auto un = static_cast<std::size_t>(row.n);
+          const float* v = vir.read_block(row.base, un);
+          const float* c = che.read_block(row.base, un);
+          const std::uint8_t* e = epi.read_block(row.base, un);
+          const std::uint8_t* tcs = tc.read_block(row.base, un);
+          for (std::size_t j = 0; j < un; ++j) {
+            virus += static_cast<double>(v[j]);
+            chem += static_cast<double>(c[j]);
+            ++counts[e[j]];
+            counts[kNumEpiStates] += tcs[j] ? 1u : 0u;
+          }
         }
-        for (std::size_t s = 0; s < kNumDevStats; ++s) {
-          sh[tid * kNumDevStats + s] = acc[s];
+        sh[tid * kNumDevStats] = virus;
+        sh[tid * kNumDevStats + 1] = chem;
+        for (std::size_t s = 0; s < counts.size(); ++s) {
+          sh[tid * kNumDevStats + 2 + s] = static_cast<double>(counts[s]);
         }
       });
       for (std::uint32_t off = bd / 2; off > 0; off >>= 1) {
@@ -1120,6 +1170,9 @@ class GpuRank {
     sample.dev = dev_.stats().since(dev_snapshot_);
     sample.mem_penalty = variant_.memory_tiling ? 1.0 : kUntiledMemPenalty;
     cost_log_.add(phase, sample);
+    gpusim::DeviceStats& flows = dev_by_phase_[static_cast<std::size_t>(phase)];
+    flows += sample.dev;
+    flows.peak_allocated_bytes = 0;  // a level, not a flow
     comm_snapshot_ = rank_.stats();
     dev_snapshot_ = dev_.stats();
     if (obs::KernelProf* prof = dev_.profiler()) {
@@ -1299,6 +1352,7 @@ class GpuRank {
   Device dev_;
   const perfmodel::CostModel* model_;
   perfmodel::RankCostLog cost_log_;
+  std::array<gpusim::DeviceStats, perfmodel::kNumPhases> dev_by_phase_{};
   obs::PhaseClock pclock_;
   bool crit_ = false;
   obs::CritPathCollector crit_collect_;
@@ -1389,6 +1443,8 @@ GpuRunResult run_gpu_sim(const SimParams& params,
       static_cast<std::size_t>(options.num_ranks));
   std::vector<gpusim::DeviceStats> dev_totals(
       static_cast<std::size_t>(options.num_ranks));
+  std::vector<std::array<gpusim::DeviceStats, perfmodel::kNumPhases>>
+      dev_by_phase(static_cast<std::size_t>(options.num_ranks));
   std::vector<std::string> check_reports(
       static_cast<std::size_t>(options.num_ranks));
   std::vector<std::uint64_t> check_violations(
@@ -1438,6 +1494,7 @@ GpuRunResult run_gpu_sim(const SimParams& params,
     rank_tail[static_cast<std::size_t>(rank.id())] = sim.tail_ns();
     logs[static_cast<std::size_t>(rank.id())] = &sim.cost_log();
     dev_totals[static_cast<std::size_t>(rank.id())] = sim.device_stats();
+    dev_by_phase[static_cast<std::size_t>(rank.id())] = sim.device_by_phase();
     if (const gpusim::KernelChecker* chk = sim.checker()) {
       check_reports[static_cast<std::size_t>(rank.id())] = chk->report();
       check_violations[static_cast<std::size_t>(rank.id())] =
@@ -1464,6 +1521,11 @@ GpuRunResult run_gpu_sim(const SimParams& params,
                                             rank_tail.end())) /
       1e9;
   for (const auto& d : dev_totals) result.device_total += d;
+  for (const auto& rank_phases : dev_by_phase) {
+    for (std::size_t p = 0; p < rank_phases.size(); ++p) {
+      result.device_by_phase[p] += rank_phases[p];
+    }
+  }
   for (const auto& rp : rank_profiles) {
     for (const obs::KernelStats& k : rp) {
       obs::merge_kernel_stats(result.kernel_profile, k);

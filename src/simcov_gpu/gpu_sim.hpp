@@ -13,6 +13,7 @@
 // Memory Tiling / Combined) are selected by GpuVariant; all four compute
 // the identical simulation (bit-equal to the serial reference).
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -90,6 +91,10 @@ struct GpuRunResult {
   std::vector<std::uint64_t> digests;
   perfmodel::RunCost cost;
   gpusim::DeviceStats device_total;   ///< summed over devices
+  /// Device counter flows per perfmodel::Phase (indexed by the enum),
+  /// summed over steps and devices: the counted events the cost model
+  /// prices.  peak_allocated_bytes stays 0 here (a level, not a flow).
+  std::array<gpusim::DeviceStats, perfmodel::kNumPhases> device_by_phase{};
   std::uint64_t total_put_bytes = 0;
   std::uint64_t total_kernel_launches = 0;
   /// Full per-rank communication counters (including the per-destination

@@ -19,8 +19,22 @@
 // alignment uniform across tiles, which is what lets the vectorized
 // stencil sweep (core/stencil.hpp) run whole rows with aligned accesses.
 //
-// This is a plain value type: kernels capture it by copy and call index().
+// The kernels' addressing is division-free.  index() divides by the tile
+// side through a precomputed reciprocal (DivU32).  A kernel thread gets its
+// (x, y) either from an active-tile list entry plus its in-tile offset
+// (tile_offset_to_xy: tiles per row through a reciprocal, the in-tile
+// offset -> (ix, iy) split through a lookup table) or from a tile row
+// (tile_row / row).  The table has a fixed size held inline (tile side
+// <= 32, so at most 1024 two-byte entries; inline rather than on the heap,
+// because every rank owns a layout and a per-rank heap table shows up in
+// the process footprint).  slot_to_xy() and tile_of() are off the hot
+// paths and keep the plain division formulas.
+//
+// This is a plain value type with no heap storage; kernels call index() and
+// the coordinate helpers on their rank's layout.
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 
 #include "util/align.hpp"
@@ -28,15 +42,49 @@
 
 namespace simcov::gpu {
 
+/// Unsigned 32-bit division by a run-time invariant divisor as one 64-bit
+/// multiply-high (Lemire, Kaser & Kurz 2019): with M = ceil(2^64 / d),
+/// n / d == (n * M) >> 64 for every 32-bit n and every d >= 2.  d == 1
+/// would need M = 2^64, so it keeps M = 0 and adds n back through a mask.
+class DivU32 {
+ public:
+  explicit DivU32(std::uint32_t d)
+      : m_(d > 1 ? ~std::uint64_t{0} / d + 1 : 0),
+        identity_(d == 1 ? ~std::uint32_t{0} : 0),
+        d_(d) {
+    SIMCOV_REQUIRE(d >= 1, "divisor must be positive");
+  }
+
+  std::uint32_t divisor() const { return d_; }
+  std::uint32_t div(std::uint32_t n) const {
+    __extension__ using U128 = unsigned __int128;
+    return static_cast<std::uint32_t>((U128{m_} * n) >> 64) + (n & identity_);
+  }
+
+ private:
+  std::uint64_t m_;
+  std::uint32_t identity_;  ///< all ones when d == 1, else 0
+  std::uint32_t d_;
+};
+
 class TiledLayout {
  public:
+  /// Largest supported tile side: one CUDA block (<= 1024 threads) per tile.
+  static constexpr std::int32_t kMaxTileSide = 32;
+
   TiledLayout(std::int32_t w, std::int32_t h, std::int32_t tile)
-      : w_(w), h_(h), tile_(tile) {
-    SIMCOV_REQUIRE(w >= 1 && h >= 1, "layout dims must be positive");
-    SIMCOV_REQUIRE(tile >= 1, "tile side must be positive");
-    SIMCOV_REQUIRE(tile <= 32, "tile side > 32 exceeds one block per tile");
-    tiles_x_ = (w + tile - 1) / tile;
-    tiles_y_ = (h + tile - 1) / tile;
+      : w_(w), h_(h), tile_(tile),
+        tiles_x_(checked_tiles_x(w, h, tile)),
+        tiles_y_((h + tile - 1) / tile),
+        stride_(util::pad_stride_u32(static_cast<std::uint32_t>(tile * tile))),
+        div_tile_(static_cast<std::uint32_t>(tile)),
+        div_tiles_x_(static_cast<std::uint32_t>(tiles_x_)) {
+    const auto side = static_cast<std::size_t>(tile);
+    for (std::size_t in = 0; in < std::min(side * side, in_tile_.size());
+         ++in) {
+      in_tile_[in] = {static_cast<std::uint8_t>(in % side),
+                      static_cast<std::uint8_t>(in / side)};
+    }
   }
 
   std::int32_t width() const { return w_; }
@@ -51,9 +99,7 @@ class TiledLayout {
   /// to a cache-line-aligned multiple (util::pad_stride).  The pad slots at
   /// the end of each tile block are dead storage — index() never returns
   /// them and slot_to_xy() maps them to the out-of-range sentinel.
-  std::uint32_t tile_stride() const {
-    return util::pad_stride_u32(static_cast<std::uint32_t>(slots_per_tile()));
-  }
+  std::uint32_t tile_stride() const { return stride_; }
 
   /// Interior storage including tile padding (edge-tile padding to a full
   /// tile, plus per-tile stride padding to an aligned tile_stride()).
@@ -71,10 +117,13 @@ class TiledLayout {
   /// (x == -1, x == w, y == -1 or y == h) but never ghost corners.
   std::uint32_t index(std::int32_t x, std::int32_t y) const {
     if (x >= 0 && x < w_ && y >= 0 && y < h_) {
-      const std::int32_t tx = x / tile_, ty = y / tile_;
-      const std::int32_t ix = x % tile_, iy = y % tile_;
-      return static_cast<std::uint32_t>(ty * tiles_x_ + tx) * tile_stride() +
-             static_cast<std::uint32_t>(iy * tile_ + ix);
+      const auto ux = static_cast<std::uint32_t>(x);
+      const auto uy = static_cast<std::uint32_t>(y);
+      const auto tile = static_cast<std::uint32_t>(tile_);
+      const std::uint32_t tx = div_tile_.div(ux), ty = div_tile_.div(uy);
+      const std::uint32_t ix = ux - tx * tile, iy = uy - ty * tile;
+      return (ty * static_cast<std::uint32_t>(tiles_x_) + tx) * stride_ +
+             iy * tile + ix;
     }
     const std::uint32_t base = interior_slots();
     const auto uh = static_cast<std::uint32_t>(h_);
@@ -102,9 +151,8 @@ class TiledLayout {
   /// bounds guard skips them.
   void slot_to_xy(std::uint32_t slot, std::int32_t& x, std::int32_t& y) const {
     SIMCOV_ASSERT(slot < interior_slots(), "slot is not interior");
-    const std::uint32_t stride = tile_stride();
-    const std::int32_t t = static_cast<std::int32_t>(slot / stride);
-    const std::int32_t in = static_cast<std::int32_t>(slot % stride);
+    const std::int32_t t = static_cast<std::int32_t>(slot / stride_);
+    const std::int32_t in = static_cast<std::int32_t>(slot % stride_);
     if (in >= slots_per_tile()) {  // stride padding: no voxel lives here
       x = w_;
       y = h_;
@@ -112,6 +160,51 @@ class TiledLayout {
     }
     x = (t % tiles_x_) * tile_ + in % tile_;
     y = (t / tiles_x_) * tile_ + in / tile_;
+  }
+
+  /// (x, y) of in-tile offset `in` (< slots_per_tile()) of tile `tile_id`:
+  /// the division-free counterpart of slot_to_xy for callers that already
+  /// know the tile, e.g. a thread indexing an active-tile list.  An edge tile's padding offsets
+  /// map outside [0,w)x[0,h), exactly as in slot_to_xy.
+  void tile_offset_to_xy(std::uint32_t tile_id, std::uint32_t in,
+                         std::int32_t& x, std::int32_t& y) const {
+    SIMCOV_ASSERT(in < static_cast<std::uint32_t>(slots_per_tile()),
+                  "in-tile offset out of range");
+    const std::uint32_t ty = div_tiles_x_.div(tile_id);
+    const std::uint32_t tx = tile_id - ty * static_cast<std::uint32_t>(tiles_x_);
+    const InTile off = in_tile_[in];
+    x = static_cast<std::int32_t>(tx) * tile_ + off.ix;
+    y = static_cast<std::int32_t>(ty) * tile_ + off.iy;
+  }
+
+  /// One tile row clipped to the domain: `n` voxels starting at interior
+  /// coordinate (x0, y), stored contiguously from slot `base`.  n == 0 for
+  /// an edge tile's padding rows (y >= height()).
+  struct TileRow {
+    std::uint32_t base;
+    std::int32_t x0, y, n;
+  };
+
+  /// Row `iy` (< tile_side()) of tile `tile_id`: the row-walk path of the
+  /// vectorized sweeps, which read a row with one block access instead of
+  /// mapping every slot back to (x, y).
+  TileRow tile_row(std::uint32_t tile_id, std::uint32_t iy) const {
+    SIMCOV_ASSERT(iy < static_cast<std::uint32_t>(tile_), "tile row out of range");
+    const std::uint32_t ty = div_tiles_x_.div(tile_id);
+    const std::uint32_t tx = tile_id - ty * static_cast<std::uint32_t>(tiles_x_);
+    const std::int32_t x0 = static_cast<std::int32_t>(tx) * tile_;
+    const std::int32_t y = static_cast<std::int32_t>(ty) * tile_ +
+                           static_cast<std::int32_t>(iy);
+    const std::int32_t n = y < h_ ? std::min(tile_, w_ - x0) : 0;
+    return {tile_id * stride_ + iy * static_cast<std::uint32_t>(tile_), x0, y,
+            n};
+  }
+
+  /// Row `r` of the tile-major row numbering r = tile_id * tile_side() + iy
+  /// (num_tiles() * tile_side() rows, padding rows included).
+  TileRow row(std::uint32_t r) const {
+    const std::uint32_t t = div_tile_.div(r);
+    return tile_row(t, r - t * static_cast<std::uint32_t>(tile_));
   }
 
   /// Tile id containing interior coordinate (x, y).
@@ -128,8 +221,27 @@ class TiledLayout {
   }
 
  private:
+  /// (ix, iy) of one in-tile offset; both < kMaxTileSide.
+  struct InTile {
+    std::uint8_t ix, iy;
+  };
+
+  /// Validates the constructor arguments before any member derived from
+  /// them is built, then returns tiles_x.
+  static std::int32_t checked_tiles_x(std::int32_t w, std::int32_t h,
+                                      std::int32_t tile) {
+    SIMCOV_REQUIRE(w >= 1 && h >= 1, "layout dims must be positive");
+    SIMCOV_REQUIRE(tile >= 1, "tile side must be positive");
+    SIMCOV_REQUIRE(tile <= kMaxTileSide,
+                   "tile side > 32 exceeds one block per tile");
+    return (w + tile - 1) / tile;
+  }
+
   std::int32_t w_, h_, tile_;
   std::int32_t tiles_x_, tiles_y_;
+  std::uint32_t stride_;  ///< tile_stride(), cached
+  DivU32 div_tile_, div_tiles_x_;
+  std::array<InTile, kMaxTileSide * kMaxTileSide> in_tile_{};
 };
 
 }  // namespace simcov::gpu

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "gpusim/gpusim.hpp"
@@ -235,6 +237,69 @@ TEST(GpuSim, AllocationTracking) {
     EXPECT_EQ(dev.allocated_bytes(), 800u);  // move does not double-count
   }
   EXPECT_EQ(dev.allocated_bytes(), 0u);
+}
+
+void expect_same_stats(const DeviceStats& a, const DeviceStats& b) {
+  EXPECT_EQ(a.kernel_launches, b.kernel_launches);
+  EXPECT_EQ(a.blocks_executed, b.blocks_executed);
+  EXPECT_EQ(a.threads_executed, b.threads_executed);
+  EXPECT_EQ(a.global_read_bytes, b.global_read_bytes);
+  EXPECT_EQ(a.global_write_bytes, b.global_write_bytes);
+  EXPECT_EQ(a.atomic_ops, b.atomic_ops);
+  EXPECT_EQ(a.shared_bytes_allocated, b.shared_bytes_allocated);
+  EXPECT_EQ(a.h2d_bytes, b.h2d_bytes);
+  EXPECT_EQ(a.d2h_bytes, b.d2h_bytes);
+}
+
+// parallel_for's schedule orders: a permuted launch runs the KernelCheck
+// replays (reversed, seeded shuffle), then the canonical execution, so one
+// launch shows all three: same (block, thread) pairs, canonical in flat
+// order k -> (k / block_dim, k % block_dim), and identical counters at the
+// end of every execution.
+TEST(GpuSim, CanonicalLoopMatchesGenericLoop) {
+  for (const LaunchConfig cfg : {LaunchConfig{7, 5, "visit"},
+                                 LaunchConfig{1, 1, "visit"},
+                                 LaunchConfig{3, 64, "visit"}}) {
+    Device dev(0, DeviceOptions{.check_kernels = true,
+                                .permute_schedules = true,
+                                .defer_check_report = false});
+    const std::uint64_t n = cfg.total_threads();
+    DeviceBuffer<std::uint32_t> out(dev, n, 0);
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> visits;
+    std::vector<DeviceStats> at_end;
+    dev.parallel_for(cfg, [&](ThreadCtx& t) {
+      visits.emplace_back(t.block_idx(), t.thread_idx());
+      t.global(out).write(t.global_index(), t.block_idx() * 1000 +
+                                                t.thread_idx());
+      if (visits.size() % n == 0) at_end.push_back(dev.stats());
+    });
+    ASSERT_EQ(visits.size(), 3 * n);
+    ASSERT_EQ(at_end.size(), 3u);
+
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>> canonical(
+        visits.end() - static_cast<std::ptrdiff_t>(n), visits.end());
+    for (std::uint64_t k = 0; k < n; ++k) {
+      EXPECT_EQ(canonical[k].first, k / cfg.block_dim);
+      EXPECT_EQ(canonical[k].second, k % cfg.block_dim);
+    }
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> reversed(
+        visits.begin(), visits.begin() + static_cast<std::ptrdiff_t>(n));
+    std::reverse(reversed.begin(), reversed.end());
+    EXPECT_EQ(reversed, canonical);
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> shuffled(
+        visits.begin() + static_cast<std::ptrdiff_t>(n),
+        visits.begin() + static_cast<std::ptrdiff_t>(2 * n));
+    std::sort(shuffled.begin(), shuffled.end());
+    EXPECT_EQ(shuffled, canonical);
+
+    expect_same_stats(at_end[0], at_end[2]);
+    expect_same_stats(at_end[1], at_end[2]);
+    expect_same_stats(dev.stats(), at_end[2]);
+    EXPECT_EQ(dev.stats().kernel_launches, 1u);
+    EXPECT_EQ(dev.stats().blocks_executed, cfg.grid_dim);
+    EXPECT_EQ(dev.stats().threads_executed, n);
+    EXPECT_EQ(dev.stats().global_write_bytes, n * sizeof(std::uint32_t));
+  }
 }
 
 }  // namespace

@@ -8,14 +8,17 @@
 // down that the blessed patterns — disjoint writes, atomic reductions,
 // phased shared-memory trees — stay silent, that schedule permutation
 // flags order-dependent floating-point reductions without perturbing
-// canonical results, and that the full GPU simulation is race-free and
-// bit-deterministic end to end.
+// canonical results, that the full GPU simulation is race-free and
+// bit-deterministic end to end, and that its per-phase counted events stay
+// pinned.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/foi.hpp"
@@ -492,6 +495,72 @@ TEST(KernelCheck, SmokeScenarioBitIdenticalUnderPermutedSchedules) {
   EXPECT_EQ(r.digests, base.digests);
   EXPECT_EQ(r.device_total.kernel_launches,
             base.device_total.kernel_launches);
+}
+
+// Tripwire: the per-phase counters of one small fixed GpuSim run, pinned.
+// They are what the cost model prices, so host-side rewrites of the
+// kernels (addressing, launch loops, row walks) must leave every value
+// exactly as it is.  Per rank 32x28 voxels in 8-voxel tiles (ragged in y),
+// with interior tiles that Combined skips and T cells that move and bind.
+TEST(GpuRun, PerPhaseCountersOfAFixedRunArePinned) {
+  SimParams p = SimParams::bench_fast();
+  p.dim_x = 64;
+  p.dim_y = 56;
+  p.num_steps = 80;
+  p.num_foi = 2;
+  p.seed = 11;
+  p.tile_side = 8;
+  p.incubation_period = 8;
+  p.expressing_period = 40;
+  p.apoptosis_period = 12;
+  p.tcell_initial_delay = 20;
+  p.tcell_generation_rate = 6.0;
+  p.virus_diffusion = 0.4;
+  p.infectivity = 0.06;
+  p.chem_production = 0.4;
+  p.chem_diffusion = 0.8;
+  const std::vector<VoxelId> foi = {9 * 64 + 10, 45 * 64 + 50};
+
+  // Per phase (t_cells, epithelial, concentrations, halo, tile_sweep,
+  // reduce_stats): launches, blocks, threads, read bytes, write bytes,
+  // atomics, shared bytes, H2D bytes, D2H bytes.
+  using Row = std::array<std::uint64_t, 9>;
+  using Pinned = std::array<Row, perfmodel::kNumPhases>;
+  const Pinned combined = {{
+      {3200, 13680, 1710400, 7455029, 5828233, 1552, 0, 0, 0},
+      {320, 2416, 309248, 3633816, 1333535, 0, 0, 0, 0},
+      {5120, 5120, 655360, 12364800, 7028736, 0, 0, 153600, 153600},
+      {17920, 17920, 2293760, 3340800, 2726400, 0, 0, 1363200, 1363200},
+      {40, 640, 81920, 312792, 640, 0, 163840, 2420, 640},
+      {320, 320, 368640, 2867200, 24320, 2880, 2949120, 0, 24320},
+  }};
+  const Pinned unoptimized = {{
+      {3200, 14400, 1802560, 7921973, 6197897, 1552, 0, 0, 0},
+      {320, 2560, 327680, 3886744, 1430815, 0, 0, 0, 0},
+      {5120, 5120, 655360, 13240320, 7495680, 0, 0, 153600, 153600},
+      {17920, 17920, 2293760, 3340800, 2726400, 0, 0, 1363200, 1363200},
+      {0, 0, 0, 0, 0, 0, 0, 0, 0},
+      {320, 2560, 327680, 2867200, 24320, 383047, 0, 0, 24320},
+  }};
+  for (const auto& [variant, want] :
+       {std::pair{gpu::GpuVariant::combined(), combined},
+        std::pair{gpu::GpuVariant::unoptimized(), unoptimized}}) {
+    gpu::GpuSimOptions opt;
+    opt.num_ranks = 4;
+    opt.variant = variant;
+    const gpu::GpuRunResult r = gpu::run_gpu_sim(p, foi, opt);
+    for (int ph = 0; ph < perfmodel::kNumPhases; ++ph) {
+      SCOPED_TRACE(variant.name() + " / " +
+                   perfmodel::phase_name(static_cast<perfmodel::Phase>(ph)));
+      const DeviceStats& d = r.device_by_phase[static_cast<std::size_t>(ph)];
+      const Row got = {d.kernel_launches,    d.blocks_executed,
+                       d.threads_executed,   d.global_read_bytes,
+                       d.global_write_bytes, d.atomic_ops,
+                       d.shared_bytes_allocated, d.h2d_bytes,
+                       d.d2h_bytes};
+      EXPECT_EQ(got, want[static_cast<std::size_t>(ph)]);
+    }
+  }
 }
 
 }  // namespace

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <set>
 #include <tuple>
+#include <vector>
 
 #include "simcov_gpu/layout.hpp"
 
@@ -141,6 +144,139 @@ TEST(TiledLayout, PaddingSlotsMapToSentinel) {
       EXPECT_EQ(y, 20);
     }
   }
+}
+
+// ---- division-free addressing vs. the division formulas ----------------
+// index(), tile_offset_to_xy() and tile_row() replace run-time divisions
+// with DivU32 reciprocals and an in-tile lookup table.  The reference
+// functions below are the plain division formulas; every address of every
+// tile side 1..32 must agree, over ragged shapes including a single tile
+// column (slot_to_xy() and tile_of() are checked against them too).
+
+struct RefLayout {
+  std::int32_t w, h, tile, tiles_x;
+  std::uint32_t stride;
+
+  std::uint32_t interior_slots() const {
+    const std::int32_t tiles_y = (h + tile - 1) / tile;
+    return static_cast<std::uint32_t>(tiles_x * tiles_y) * stride;
+  }
+  std::uint32_t index(std::int32_t x, std::int32_t y) const {
+    if (x >= 0 && x < w && y >= 0 && y < h) {
+      const std::int32_t tx = x / tile, ty = y / tile;
+      const std::int32_t ix = x % tile, iy = y % tile;
+      return static_cast<std::uint32_t>(ty * tiles_x + tx) * stride +
+             static_cast<std::uint32_t>(iy * tile + ix);
+    }
+    const std::uint32_t base = interior_slots();
+    const auto uh = static_cast<std::uint32_t>(h);
+    const auto uw = static_cast<std::uint32_t>(w);
+    if (x == -1) return base + static_cast<std::uint32_t>(y);
+    if (x == w) return base + uh + static_cast<std::uint32_t>(y);
+    if (y == -1) return base + 2 * uh + static_cast<std::uint32_t>(x);
+    return base + 2 * uh + uw + static_cast<std::uint32_t>(x);
+  }
+  void slot_to_xy(std::uint32_t slot, std::int32_t& x, std::int32_t& y) const {
+    const auto t = static_cast<std::int32_t>(slot / stride);
+    const auto in = static_cast<std::int32_t>(slot % stride);
+    if (in >= tile * tile) {
+      x = w;
+      y = h;
+      return;
+    }
+    x = (t % tiles_x) * tile + in % tile;
+    y = (t / tiles_x) * tile + in / tile;
+  }
+};
+
+std::vector<std::pair<std::int32_t, std::int32_t>> shapes_for(
+    std::int32_t tile) {
+  return {{1, 1},                      // one voxel, one tile
+          {tile, tile},                // exactly one tile
+          {tile, 3 * tile + 1},        // tiles_x == 1, ragged in y
+          {2 * tile + 1, tile + 2},    // ragged in both
+          {3 * tile - 1, 2 * tile},    // ragged in x only
+          {4 * tile, std::max(1, tile - 1)}};  // one short tile row
+}
+
+TEST(TiledLayout, DivisionFreeAddressingMatchesDivisionFormulas) {
+  for (std::int32_t tile = 1; tile <= TiledLayout::kMaxTileSide; ++tile) {
+    for (const auto& [w, h] : shapes_for(tile)) {
+      SCOPED_TRACE(::testing::Message() << "tile " << tile << ", " << w << "x"
+                                        << h);
+      const TiledLayout lay(w, h, tile);
+      const RefLayout ref{w, h, tile, (w + tile - 1) / tile,
+                          lay.tile_stride()};
+      ASSERT_EQ(lay.interior_slots(), ref.interior_slots());
+      // Every interior and padding slot.
+      for (std::uint32_t slot = 0; slot < lay.interior_slots(); ++slot) {
+        std::int32_t x, y, rx, ry;
+        lay.slot_to_xy(slot, x, y);
+        ref.slot_to_xy(slot, rx, ry);
+        ASSERT_EQ(x, rx) << "slot " << slot;
+        ASSERT_EQ(y, ry) << "slot " << slot;
+      }
+      // Every (tile, in-tile offset) pair, and every tile row.
+      const auto spt = static_cast<std::uint32_t>(lay.slots_per_tile());
+      for (std::uint32_t t = 0; t < static_cast<std::uint32_t>(lay.num_tiles());
+           ++t) {
+        for (std::uint32_t in = 0; in < spt; ++in) {
+          std::int32_t x, y, rx, ry;
+          lay.tile_offset_to_xy(t, in, x, y);
+          ref.slot_to_xy(t * lay.tile_stride() + in, rx, ry);
+          ASSERT_EQ(x, rx) << "tile " << t << " offset " << in;
+          ASSERT_EQ(y, ry) << "tile " << t << " offset " << in;
+        }
+        for (std::uint32_t iy = 0; iy < static_cast<std::uint32_t>(tile);
+             ++iy) {
+          const std::uint32_t base = t * lay.tile_stride() +
+                                     iy * static_cast<std::uint32_t>(tile);
+          std::int32_t x0, y;
+          ref.slot_to_xy(base, x0, y);
+          const TiledLayout::TileRow row = lay.tile_row(t, iy);
+          const TiledLayout::TileRow by_number =
+              lay.row(t * static_cast<std::uint32_t>(tile) + iy);
+          ASSERT_EQ(row.base, base);
+          ASSERT_EQ(row.x0, x0);
+          ASSERT_EQ(row.y, y);
+          ASSERT_EQ(row.n, y < h ? std::min(tile, w - x0) : 0);
+          ASSERT_EQ(by_number.base, row.base);
+          ASSERT_EQ(by_number.n, row.n);
+        }
+      }
+      // Every interior voxel and every ghost-ring voxel.
+      for (std::int32_t y = -1; y <= h; ++y) {
+        for (std::int32_t x = -1; x <= w; ++x) {
+          const bool corner = (x == -1 || x == w) && (y == -1 || y == h);
+          if (corner) continue;
+          ASSERT_EQ(lay.index(x, y), ref.index(x, y)) << x << "," << y;
+          if (x >= 0 && x < w && y >= 0 && y < h) {
+            ASSERT_EQ(lay.tile_of(x, y),
+                      (y / tile) * ref.tiles_x + x / tile);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DivU32, MatchesDivisionAtTheEdgesOfTheNumeratorRange) {
+  std::vector<std::uint32_t> divisors;
+  for (std::uint32_t d = 1; d <= 1100; ++d) divisors.push_back(d);
+  for (std::uint32_t d : {4095u, 4096u, 4097u, 65535u, 65536u, 65537u,
+                          1000003u, 0x7fffffffu, 0x80000000u, 0x80000001u,
+                          0xfffffffeu, 0xffffffffu}) {
+    divisors.push_back(d);
+  }
+  for (const std::uint32_t d : divisors) {
+    const DivU32 div(d);
+    EXPECT_EQ(div.divisor(), d);
+    for (const std::uint32_t n :
+         {0u, d - 1, d, d + 1, 2 * d - 1, 0xffffffffu - 1, 0xffffffffu}) {
+      ASSERT_EQ(div.div(n), n / d) << n << " / " << d;
+    }
+  }
+  EXPECT_THROW(DivU32(0), Error);
 }
 
 TEST(TiledLayout, InvalidConfigsThrow) {

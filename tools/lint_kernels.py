@@ -8,9 +8,9 @@ raw pointers, host staging copies, casts that launder a pointer past the
 type system — executes unchecked, and a race through that side channel is
 invisible to the dynamic analyzer.  This lint closes the loophole
 statically: every lambda passed to ``parallel_for`` / ``launch_blocks``
-(including the ``for_active_voxels`` and ``for_active_rows`` wrappers) in
-``src/`` must touch device data only through the instrumented
-abstractions.
+(including the ``for_each_item``, ``for_active_voxels`` and
+``for_active_rows`` wrappers) in ``src/`` must touch device data only
+through the instrumented abstractions.
 
 Rules (rule name -> what is banned inside a kernel lambda):
   raw-pointer      .raw( — bypasses the GlobalSpan access hooks
@@ -42,10 +42,10 @@ import sys
 # (or the wrapper's name) keeps the *definitions* in device.hpp out.
 LAUNCH_RE = re.compile(
     r"(?:(?:\.|->)\s*(?:parallel_for|launch_blocks)"
-    r"|\bfor_active_voxels|\bfor_active_rows)\s*\(")
+    r"|\bfor_each_item|\bfor_active_voxels|\bfor_active_rows)\s*\(")
 
-# A region is only a kernel if it actually contains a lambda; the
-# for_active_voxels *declaration* (``const char* name, F&& body``) has none.
+# A region is only a kernel if it actually contains a lambda; the wrapper
+# *declarations* (``const char* name, Bind&& bind``) have none.
 LAMBDA_RE = re.compile(r"\[[&=]|\[this")
 
 RULES = [
