@@ -90,11 +90,9 @@ int main() {
   //     so the residual is barrier sync and clock granularity.
   //  2. What-if agreement: projecting one variant's critical path onto
   //     another by scaling each phase with the cost model's per-phase
-  //     ratio (the same Amdahl-over-the-critical-path arithmetic
-  //     obs::build_critpath_report uses) must agree with the *measured*
-  //     critical path of the other variant.  Tolerance is the modeled
-  //     class's 2% plus measurement noise between two separate wall-clock
-  //     runs.
+  //     ratio at equal memory penalty (the same Amdahl-over-the-critical-
+  //     path arithmetic obs::build_critpath_report uses) must agree with
+  //     the *measured* critical path of the other variant.
   const auto critical_s = [](const harness::BackendResult& r) {
     return r.critpath.critical_ns() / 1e9;
   };
@@ -113,15 +111,25 @@ int main() {
   }
 
   // Amdahl projection across ablation toggles: scale the source variant's
-  // per-phase critical seconds by modeled_to/modeled_from.
+  // per-phase critical seconds by modeled_to/modeled_from, with both
+  // variants priced at the tiled layout (RunCost::by_phase_tiled_layout).
+  // Every variant stores the same tiled layout — with tiling off the
+  // emulator only marks every tile active — so the untiled locality
+  // penalty in by_phase is a modeled effect that no measured critical
+  // path contains; a ratio that carried it would under-project each phase
+  // of a tiled variant by 1/1.6.  tile_sweep (about 1% of the tiled
+  // variants' path) cannot be projected from Unoptimized, which never
+  // runs it: the projection leaves that phase out.
+  // The tolerance is the modeled class's 2% plus measurement noise
+  // between two separate wall-clock runs.
   const auto project = [](const harness::BackendResult& from,
                           const harness::BackendResult& to) {
     double projected = 0.0;
     for (int p = 0; p < perfmodel::kNumPhases; ++p) {
-      const double crit_p =
-          from.critpath.crit_phase_ns(p) / 1e9;
-      const double m_from = from.cost.by_phase[static_cast<std::size_t>(p)];
-      const double m_to = to.cost.by_phase[static_cast<std::size_t>(p)];
+      const auto i = static_cast<std::size_t>(p);
+      const double crit_p = from.critpath.crit_phase_ns(p) / 1e9;
+      const double m_from = from.cost.by_phase_tiled_layout[i];
+      const double m_to = to.cost.by_phase_tiled_layout[i];
       projected += crit_p * (m_from > 0.0 ? m_to / m_from : 1.0);
     }
     return projected;

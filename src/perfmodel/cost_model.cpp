@@ -74,19 +74,32 @@ double CostModel::price(const WorkSample& s) const {
 void RankCostLog::add(Phase phase, const WorkSample& sample) {
   const int p = static_cast<int>(phase);
   SIMCOV_REQUIRE(p >= 0 && p < kNumPhases, "bad phase");
-  current_[static_cast<std::size_t>(p)] += model_->price(sample);
-  dirty_ = true;
+  const auto i = static_cast<std::size_t>(p);
+  const double priced = model_->price(sample);
+  current_.priced[i] += priced;
+  if (sample.mem_penalty == 1.0) {
+    current_.tiled_layout[i] += priced;
+  } else {
+    WorkSample tiled = sample;
+    tiled.mem_penalty = 1.0;
+    current_.tiled_layout[i] += model_->price(tiled);
+  }
 }
 
 void RankCostLog::end_step() {
   steps_.push_back(current_);
-  current_.fill(0.0);
-  dirty_ = false;
+  current_ = StepCost{};
 }
 
 double RankCostLog::cost(std::size_t step, Phase phase) const {
   SIMCOV_REQUIRE(step < steps_.size(), "step out of range");
-  return steps_[step][static_cast<std::size_t>(static_cast<int>(phase))];
+  return steps_[step].priced[static_cast<std::size_t>(static_cast<int>(phase))];
+}
+
+double RankCostLog::cost_tiled_layout(std::size_t step, Phase phase) const {
+  SIMCOV_REQUIRE(step < steps_.size(), "step out of range");
+  return steps_[step]
+      .tiled_layout[static_cast<std::size_t>(static_cast<int>(phase))];
 }
 
 double RunCost::update_agents_s() const {
@@ -116,11 +129,15 @@ RunCost fold_impl(std::size_t n, GetLog&& get) {
   RunCost out;
   for (std::size_t s = 0; s < steps; ++s) {
     for (int p = 0; p < kNumPhases; ++p) {
+      const auto phase = static_cast<Phase>(p);
       double mx = 0.0;
+      double mx_tiled = 0.0;
       for (std::size_t r = 0; r < n; ++r) {
-        mx = std::max(mx, get(r).cost(s, static_cast<Phase>(p)));
+        mx = std::max(mx, get(r).cost(s, phase));
+        mx_tiled = std::max(mx_tiled, get(r).cost_tiled_layout(s, phase));
       }
       out.by_phase[static_cast<std::size_t>(p)] += mx;
+      out.by_phase_tiled_layout[static_cast<std::size_t>(p)] += mx_tiled;
       out.total_s += mx;
     }
   }

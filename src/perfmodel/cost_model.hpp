@@ -82,8 +82,12 @@ class CostModel {
   double boundary_scale_;  ///< sqrt(area_scale)
 };
 
-/// Per-rank accumulation of priced phase costs, step by step.
-/// Memory: steps * kNumPhases doubles per rank.
+/// Per-rank accumulation of priced phase costs, step by step.  Each sample
+/// is priced twice: at its own mem_penalty, and at mem_penalty = 1 — the
+/// tiled layout every GPU variant really stores, so a cost at that layout
+/// compares variants on the counted events alone (the untiled penalty is
+/// a modeled locality effect no measured time contains).
+/// Memory: steps * 2 * kNumPhases doubles per rank.
 class RankCostLog {
  public:
   explicit RankCostLog(const CostModel& model) : model_(&model) {}
@@ -98,25 +102,36 @@ class RankCostLog {
   std::size_t num_steps() const { return steps_.size(); }
   /// Priced seconds for (step, phase).
   double cost(std::size_t step, Phase phase) const;
+  /// Priced seconds for (step, phase) at mem_penalty = 1.
+  double cost_tiled_layout(std::size_t step, Phase phase) const;
 
  private:
+  struct StepCost {
+    std::array<double, kNumPhases> priced{};
+    std::array<double, kNumPhases> tiled_layout{};
+  };
+
   const CostModel* model_;
-  std::array<double, kNumPhases> current_{};
-  bool dirty_ = false;
-  std::vector<std::array<double, kNumPhases>> steps_;
+  StepCost current_{};
+  std::vector<StepCost> steps_;
 };
 
 /// Modeled run cost after the bulk-synchronous fold over ranks.
 struct RunCost {
   double total_s = 0.0;
   std::array<double, kNumPhases> by_phase{};  ///< max-folded, summed over steps
+  /// Folded like by_phase, from every sample priced at mem_penalty = 1.
+  /// Per-phase ratios between variants taken from this array compare
+  /// counted events only, so they can scale a measured time.
+  std::array<double, kNumPhases> by_phase_tiled_layout{};
 
   double update_agents_s() const;   ///< Fig. 4 "Update Agents" category
   double reduce_stats_s() const;    ///< Fig. 4 "Reduce Statistics" category
 };
 
 /// Folds per-rank logs: for every (step, phase), takes the max across ranks
-/// (ranks wait at the phase-ending barrier), then sums.
+/// (ranks wait at the phase-ending barrier), then sums.  by_phase and
+/// by_phase_tiled_layout are each folded on their own.
 /// All logs must have the same step count.
 RunCost fold(std::span<const RankCostLog> logs);
 RunCost fold(std::span<const RankCostLog* const> logs);
