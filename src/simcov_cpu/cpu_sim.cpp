@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <span>
 #include <unordered_map>
@@ -158,14 +159,17 @@ class CpuRank {
     for (std::int32_t z = 0; z < dz_; ++z) {
       for (std::int32_t y = 0; y < h_; ++y) {
         for (std::int32_t x = 0; x < w_; ++x) {
-          if (is_active_voxel(lidx(x, y, z))) {
-            mark_active_with_neighbours(x, y, z);
-          }
+          const std::int32_t v = lidx(x, y, z);
+          if (is_active_voxel(v)) flag_with_neighbours(v);
         }
       }
     }
+    // Ghost activations flag their boundary voxels through the append
+    // path; the initial list is wholly sorted, so the scan re-emits them in
+    // place instead of keeping the appended tail.
     scan_ghosts_for_activation();
-    std::sort(active_list_.begin(), active_list_.end());
+    active_list_.clear();
+    emit_flagged_rows(0, plane_ * dz_ - 1);
   }
 
   void step() {
@@ -339,6 +343,12 @@ class CpuRank {
   static int opposite(int face) { return face ^ 1; }
 
   // ---- active list ----------------------------------------------------------
+  // The list is a sorted prefix, emitted by the ordered builder below,
+  // followed by an unsorted tail that ghost activations append (mark_active)
+  // during the same step.  Its order is part of bit-identity: the field
+  // totals are summed in list order.  active_[v] is set exactly for the
+  // interior voxels in the list; the builder also writes flags on the x/y
+  // ghost ring, which nothing reads.
   bool is_active_voxel(std::int32_t v) const {
     const std::size_t i = static_cast<std::size_t>(v);
     return virus_[i] > 0.0f || chem_[i] > 0.0f || tcell_[i] != 0 ||
@@ -357,35 +367,74 @@ class CpuRank {
     }
   }
 
-  void mark_active_with_neighbours(std::int32_t x, std::int32_t y,
-                                   std::int32_t z) {
-    mark_active(x, y, z);
-    mark_active(x - 1, y, z);
-    mark_active(x + 1, y, z);
-    mark_active(x, y - 1, z);
-    mark_active(x, y + 1, z);
+  /// Flags own voxel v and its von Neumann neighbours for the ordered
+  /// builder.  The x/y neighbours of an own voxel lie inside its padded
+  /// plane (at worst on the ghost ring), so only z needs a range test.
+  void flag_with_neighbours(std::int32_t v) {
+    std::uint8_t* const a = active_.data() + v;
+    a[0] = 1;
+    a[-1] = 1;
+    a[1] = 1;
+    a[-pw_] = 1;
+    a[pw_] = 1;
     if (dz_ > 1) {
-      mark_active(x, y, z - 1);
-      mark_active(x, y, z + 1);
+      if (v >= plane_) a[-plane_] = 1;
+      if (v + plane_ < plane_ * dz_) a[plane_] = 1;
     }
   }
 
+  /// Appends every flagged interior voxel of the padded rows holding local
+  /// indices [first, last] to the list, in ascending order: ghost rows are
+  /// skipped, and each row's interior columns are tested 8 flags per word.
+  void emit_flagged_rows(std::int32_t first, std::int32_t last) {
+    const std::int32_t rows = h_ + 2;  // per plane, ghost rows included
+    const std::int32_t end = last / pw_;
+    std::int32_t r = first / pw_;
+    for (std::int32_t y = r % rows; r <= end; ++r, y = (y + 1) % rows) {
+      if (y == 0 || y == rows - 1) continue;
+      const std::int32_t base = r * pw_ + 1;
+      const std::uint8_t* const f = active_.data() + base;
+      std::int32_t x = 0;
+      for (; x + 8 <= w_; x += 8) {
+        std::uint64_t word;
+        std::memcpy(&word, f + x, sizeof(word));
+        if (word == 0) continue;
+        for (std::int32_t b = x; b < x + 8; ++b) {
+          if (f[b]) active_list_.push_back(base + b);
+        }
+      }
+      for (; x < w_; ++x) {
+        if (f[x]) active_list_.push_back(base + x);
+      }
+    }
+  }
+
+  /// The per-step rebuild: clears the old list's flags, flags every still
+  /// active old entry and every T cell voxel with its neighbours, and scans
+  /// the rows between the lowest and highest flag into a sorted list.  Each
+  /// list entry counts as one mark and one emit, as in a mark-then-sort
+  /// rebuild.
   void rebuild_active_list() {
     std::vector<std::int32_t> old;
     old.swap(active_list_);
     for (std::int32_t v : old) active_[static_cast<std::size_t>(v)] = 0;
     work_.cpu_list_ops += old.size();
+    std::int32_t lo = std::numeric_limits<std::int32_t>::max(), hi = -1;
+    const auto seed = [&](std::int32_t v) {
+      flag_with_neighbours(v);
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
+    };
     for (std::int32_t v : old) {
-      if (!is_active_voxel(v)) continue;
-      const auto c = local_xyz(v);
-      mark_active_with_neighbours(c.x, c.y, c.z);
+      if (is_active_voxel(v)) seed(v);
     }
-    for (std::int32_t v : tcell_list_) {
-      const auto c = local_xyz(v);
-      mark_active_with_neighbours(c.x, c.y, c.z);
+    for (std::int32_t v : tcell_list_) seed(v);
+    if (hi >= 0) {
+      const std::int32_t reach = dz_ > 1 ? plane_ : pw_;
+      emit_flagged_rows(std::max(lo - reach, 0),
+                        std::min(hi + reach, plane_ * dz_ - 1));
     }
-    std::sort(active_list_.begin(), active_list_.end());
-    work_.cpu_list_ops += active_list_.size();
+    work_.cpu_list_ops += 2 * active_list_.size();
   }
 
   // ---- halo exchange ----------------------------------------------------------

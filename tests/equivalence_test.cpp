@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/foi.hpp"
 #include "core/grid.hpp"
 #include "core/reference_sim.hpp"
@@ -39,9 +42,9 @@ SimParams small_params() {
   return p;
 }
 
-std::vector<std::uint64_t> reference_digests(const SimParams& p) {
-  const Grid grid(p.dim_x, p.dim_y, p.dim_z);
-  ReferenceSim ref(p, foi_uniform_random(grid, p.num_foi, p.seed));
+std::vector<std::uint64_t> reference_digests(
+    const SimParams& p, const std::vector<VoxelId>& foi) {
+  ReferenceSim ref(p, foi);
   std::vector<std::uint64_t> out;
   out.reserve(static_cast<std::size_t>(p.num_steps));
   for (std::int64_t s = 0; s < p.num_steps; ++s) {
@@ -49,6 +52,11 @@ std::vector<std::uint64_t> reference_digests(const SimParams& p) {
     out.push_back(ref.state_digest());
   }
   return out;
+}
+
+std::vector<std::uint64_t> reference_digests(const SimParams& p) {
+  const Grid grid(p.dim_x, p.dim_y, p.dim_z);
+  return reference_digests(p, foi_uniform_random(grid, p.num_foi, p.seed));
 }
 
 int first_divergence(const std::vector<std::uint64_t>& a,
@@ -86,6 +94,102 @@ TEST(Equivalence, CpuLinearDecompositionMatches) {
   opt.record_digests = true;
   const auto r = cpu::run_cpu_sim(p, foi, opt);
   EXPECT_EQ(first_divergence(ref, r.digests), -1);
+}
+
+// Edges of the CPU backend's ordered active-list builder, which scans each
+// padded row's interior 8 flags per word: subdomains narrower than a word
+// and widths that leave a scalar tail, one-row strips whose +-y neighbours
+// are both ghost rows, and FOI (so virus, chemokine and the T cells they
+// attract) on global x/y/z edges and at subdomain corners.
+struct ScanCase {
+  std::int32_t dim_x, dim_y, dim_z;
+  int ranks;
+  Decomposition::Kind decomp;
+};
+
+SimParams scan_params(const ScanCase& c) {
+  SimParams p = small_params();
+  p.dim_x = c.dim_x;
+  p.dim_y = c.dim_y;
+  p.dim_z = c.dim_z;
+  p.num_steps = 60;
+  p.tcell_initial_delay = 5;
+  p.tcell_generation_rate = 20.0;
+  return p;
+}
+
+/// FOI at the global corners and mid-edges (both z faces in 3D) and on the
+/// four voxels around every interior subdomain corner.
+std::vector<VoxelId> edge_and_corner_foi(const SimParams& p,
+                                         const ScanCase& c) {
+  const Grid grid(p.dim_x, p.dim_y, p.dim_z);
+  const Decomposition dec(grid, c.ranks, c.decomp);
+  const std::int32_t zl = p.dim_z - 1, xl = p.dim_x - 1, yl = p.dim_y - 1;
+  std::vector<Coord> at = {{0, 0, 0},       {xl, yl, zl},     {xl, 0, 0},
+                           {0, yl, zl},     {xl / 2, 0, zl},  {0, yl / 2, 0},
+                           {xl, yl / 2, 0}, {xl / 2, yl, 0}};
+  for (int r = 0; r < dec.num_ranks(); ++r) {
+    const Coord o = dec.sub(r).origin;
+    if (o.x == 0 || o.y == 0) continue;
+    for (const Coord d : {Coord{-1, -1, 0}, Coord{0, -1, 0}, Coord{-1, 0, 0},
+                          Coord{0, 0, 0}}) {
+      at.push_back({o.x + d.x, o.y + d.y, zl / 2});
+    }
+  }
+  std::vector<VoxelId> foi;
+  for (const Coord& a : at) foi.push_back(grid.to_id(a));
+  std::sort(foi.begin(), foi.end());
+  foi.erase(std::unique(foi.begin(), foi.end()), foi.end());
+  return foi;
+}
+
+void expect_cpu_matches_reference(const ScanCase& c) {
+  const SimParams p = scan_params(c);
+  const auto foi = edge_and_corner_foi(p, c);
+  const auto ref = reference_digests(p, foi);
+  cpu::CpuSimOptions opt;
+  opt.num_ranks = c.ranks;
+  opt.decomp = c.decomp;
+  opt.record_digests = true;
+  const auto r = cpu::run_cpu_sim(p, foi, opt);
+  EXPECT_EQ(first_divergence(ref, r.digests), -1);
+  std::uint64_t tcells = 0;
+  for (const StepStats& s : r.history) tcells += s.tcells_tissue;
+  EXPECT_GT(tcells, 0u) << "no T cell entered the tissue";
+}
+
+TEST(Equivalence, CpuNarrowAndRaggedSubdomainWidths) {
+  constexpr auto kBlock = Decomposition::Kind::kBlock2D;
+  constexpr auto kLinear = Decomposition::Kind::kLinear;
+  for (const ScanCase& c : {
+           ScanCase{13, 22, 1, 4, kBlock},   // 2x2: widths 7 and 6
+           ScanCase{21, 20, 1, 4, kBlock},   // widths 11 and 10: word + tail
+           ScanCase{24, 10, 1, 3, kBlock},   // 3x1: widths of exactly 8
+           ScanCase{17, 12, 1, 2, kBlock},   // 2x1: widths 9 and 8
+           ScanCase{5, 16, 1, 3, kLinear},   // full width below one word
+           ScanCase{15, 14, 3, 4, kBlock},   // 3D, widths 8 and 7
+       }) {
+    SCOPED_TRACE(::testing::Message()
+                 << c.dim_x << "x" << c.dim_y << "x" << c.dim_z << " ranks="
+                 << c.ranks);
+    expect_cpu_matches_reference(c);
+  }
+}
+
+TEST(Equivalence, CpuLinearOneRowPerRank) {
+  // Decomposition rejects more linear ranks than rows, so the limit is a
+  // strip of one row per rank: both y neighbours of every voxel are ghosts.
+  constexpr auto kLinear = Decomposition::Kind::kLinear;
+  for (const ScanCase& c : {
+           ScanCase{20, 6, 1, 6, kLinear},   // one row each
+           ScanCase{9, 7, 1, 6, kLinear},    // one rank holds two rows
+           ScanCase{10, 4, 3, 4, kLinear},   // 3D, one row per plane
+       }) {
+    SCOPED_TRACE(::testing::Message()
+                 << c.dim_x << "x" << c.dim_y << "x" << c.dim_z << " ranks="
+                 << c.ranks);
+    expect_cpu_matches_reference(c);
+  }
 }
 
 TEST(Equivalence, GpuMatchesReferenceAllVariants) {
