@@ -1,9 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the design choices DESIGN.md
-// calls out: counter-RNG cost, tiled-layout index math, the diffusion
-// stencil, atomic vs tree reduction on the virtual GPU, PGAS collective
-// latency, and conflict-resolution throughput.  These measure *host wall
-// time* of this repository's implementations (the figure benches report
-// modeled target-machine time instead).
+// calls out: counter-RNG cost (per call and step-keyed), tiled-layout and
+// grid index math, the diffusion stencil, atomic vs tree reduction on the
+// virtual GPU, PGAS collective latency, and conflict-resolution throughput.
+// These measure *host wall time* of this repository's implementations (the
+// figure benches report modeled target-machine time instead).
 
 #include <benchmark/benchmark.h>
 
@@ -31,6 +31,17 @@ void BM_RngDraw(benchmark::State& state) {
 }
 BENCHMARK(BM_RngDraw);
 
+/// Draws through the step-keyed generator the rules use: the (seed, step)
+/// rounds are paid once per step, not once per draw as in BM_RngDraw.
+void BM_StepRngDraw(benchmark::State& state) {
+  const StepRng rng = CounterRng(7).at(3);
+  std::uint64_t entity = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rng.draw(entity++, RngStream::kTCellBid));
+  }
+}
+BENCHMARK(BM_StepRngDraw);
+
 void BM_RngPoisson(benchmark::State& state) {
   const CounterRng rng(7);
   std::uint64_t step = 0;
@@ -52,6 +63,20 @@ void BM_TiledLayoutIndex(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TiledLayoutIndex)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
+
+/// Grid::to_coord on a 3D grid with non-power-of-two sides (the id split
+/// every extravasation attempt, won intent and bid reply pays).
+void BM_GridToCoord(benchmark::State& state) {
+  const Grid grid(1000, 999, 3);
+  const VoxelId n = grid.num_voxels();
+  VoxelId id = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(grid.to_coord(id));
+    id += 7919;
+    if (id >= n) id -= n;
+  }
+}
+BENCHMARK(BM_GridToCoord);
 
 void BM_DiffusionStencilRow(benchmark::State& state) {
   const std::int32_t n = 256;
@@ -84,7 +109,7 @@ void BM_TCellIntent(benchmark::State& state) {
   std::uint64_t step = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        rules::tcell_intent(rng, step++, 555, EpiState::kHealthy, nb));
+        rules::tcell_intent(rng.at(step++), 555, EpiState::kHealthy, nb));
   }
 }
 BENCHMARK(BM_TCellIntent);

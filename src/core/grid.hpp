@@ -6,12 +6,19 @@
 // neighbour values in list order, so all backends must enumerate
 // identically.  The fixed order is -x, +x, -y, +y, -z, +z, skipping
 // out-of-bounds entries.
+//
+// to_coord() sits on the agent hot paths (extravasation attempts, won
+// intents, bid replies, the GPU's global -> slot mapping), so it splits an
+// id through precomputed reciprocals (util::DivU32) instead of 64-bit
+// division; the constructor's 2^32-voxel limit is what makes every id fit
+// the 32-bit divider.
 
 #include <array>
 #include <cstdint>
 
 #include "core/types.hpp"
 #include "util/align.hpp"  // IWYU pragma: export — field layout helpers
+#include "util/div_u32.hpp"
 #include "util/error.hpp"
 
 namespace simcov {
@@ -19,13 +26,9 @@ namespace simcov {
 class Grid {
  public:
   Grid(std::int32_t dx, std::int32_t dy, std::int32_t dz)
-      : dx_(dx), dy_(dy), dz_(dz) {
-    SIMCOV_REQUIRE(dx >= 1 && dy >= 1 && dz >= 1, "grid dims must be >= 1");
-    SIMCOV_REQUIRE(static_cast<std::uint64_t>(dx) * static_cast<std::uint64_t>(dy) *
-                           static_cast<std::uint64_t>(dz) <
-                       (1ULL << 32),
-                   "grid exceeds 2^32 voxels");
-  }
+      : dx_(checked_dim_x(dx, dy, dz)), dy_(dy), dz_(dz),
+        div_x_(static_cast<std::uint32_t>(dx)),
+        div_y_(static_cast<std::uint32_t>(dy)) {}
 
   std::int32_t dim_x() const { return dx_; }
   std::int32_t dim_y() const { return dy_; }
@@ -47,12 +50,12 @@ class Grid {
 
   Coord to_coord(VoxelId id) const {
     SIMCOV_ASSERT(id < num_voxels(), "voxel id out of bounds");
-    Coord c;
-    c.x = static_cast<std::int32_t>(id % static_cast<std::uint64_t>(dx_));
-    id /= static_cast<std::uint64_t>(dx_);
-    c.y = static_cast<std::int32_t>(id % static_cast<std::uint64_t>(dy_));
-    c.z = static_cast<std::int32_t>(id / static_cast<std::uint64_t>(dy_));
-    return c;
+    const auto n = static_cast<std::uint32_t>(id);
+    const std::uint32_t row = div_x_.div(n);  // z * dy + y
+    const std::uint32_t z = div_y_.div(row);
+    return {static_cast<std::int32_t>(n - row * div_x_.divisor()),
+            static_cast<std::int32_t>(row - z * div_y_.divisor()),
+            static_cast<std::int32_t>(z)};
   }
 
   /// The six axis offsets in contract order.
@@ -78,7 +81,19 @@ class Grid {
   }
 
  private:
+  /// Validates the dimensions before the dividers are built from them.
+  static std::int32_t checked_dim_x(std::int32_t dx, std::int32_t dy,
+                                    std::int32_t dz) {
+    SIMCOV_REQUIRE(dx >= 1 && dy >= 1 && dz >= 1, "grid dims must be >= 1");
+    SIMCOV_REQUIRE(static_cast<std::uint64_t>(dx) * static_cast<std::uint64_t>(dy) *
+                           static_cast<std::uint64_t>(dz) <
+                       (1ULL << 32),
+                   "grid exceeds 2^32 voxels");
+    return dx;
+  }
+
   std::int32_t dx_, dy_, dz_;
+  util::DivU32 div_x_, div_y_;
 };
 
 }  // namespace simcov

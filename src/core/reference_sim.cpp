@@ -76,6 +76,7 @@ rules::NeighbourView ReferenceSim::neighbour_view(const Coord& c) const {
 
 void ReferenceSim::phase_tcells(StepStats& stats) {
   const std::size_t n = static_cast<std::size_t>(grid_.num_voxels());
+  const StepRng rng = rng_.at(step_);
 
   // --- Aging / unbinding.  Bound cells count down their binding and do not
   // age; free cells age and die at 0.  A cell whose binding just completed
@@ -107,8 +108,7 @@ void ReferenceSim::phase_tcells(StepStats& stats) {
     // --- Intent.
     const Coord c = grid_.to_coord(static_cast<VoxelId>(v));
     const rules::Intent intent = rules::tcell_intent(
-        rng_, step_, static_cast<VoxelId>(v), epi_state_[v],
-        neighbour_view(c));
+        rng, static_cast<VoxelId>(v), epi_state_[v], neighbour_view(c));
     if (intent.kind == rules::IntentKind::kNone) continue;
     intents.push_back({static_cast<VoxelId>(v), tcell_timer_[v], intent});
     auto& field = (intent.kind == rules::IntentKind::kMove) ? bid_move_
@@ -133,7 +133,7 @@ void ReferenceSim::phase_tcells(StepStats& stats) {
       if (bid_bind_[tgt] != si.intent.bid) continue;
       if (epi_state_[tgt] != EpiState::kExpressing) continue;
       epi_state_[tgt] = EpiState::kApoptotic;
-      epi_timer_[tgt] = rules::sample_period(rng_, step_, si.intent.target,
+      epi_timer_[tgt] = rules::sample_period(rng, si.intent.target,
                                              RngStream::kApoptosisPeriod,
                                              params_.apoptosis_period);
       tcell_bind_[src] =
@@ -146,9 +146,9 @@ void ReferenceSim::phase_tcells(StepStats& stats) {
       pool_, params_.max_extravasate_per_step);
   std::uint64_t successes = 0;
   for (std::uint64_t i = 0; i < attempts; ++i) {
-    const VoxelId u = rules::attempt_voxel(rng_, step_, i, grid_.num_voxels());
+    const VoxelId u = rules::attempt_voxel(rng, i, grid_.num_voxels());
     const std::size_t ui = static_cast<std::size_t>(u);
-    if (!rules::attempt_accepted(rng_, step_, i, chem_[ui])) continue;
+    if (!rules::attempt_accepted(rng, i, chem_[ui])) continue;
     if (epi_state_[ui] == EpiState::kEmpty) continue;
     if (tcell_[ui]) continue;
     tcell_[ui] = 1;
@@ -161,12 +161,12 @@ void ReferenceSim::phase_tcells(StepStats& stats) {
 
 void ReferenceSim::phase_epithelial() {
   const std::size_t n = static_cast<std::size_t>(grid_.num_voxels());
+  const StepRng rng = rng_.at(step_);
   for (std::size_t v = 0; v < n; ++v) {
     const EpiState s = epi_state_[v];
     if (s == EpiState::kEmpty || s == EpiState::kDead) continue;
     const rules::EpiUpdate u = rules::update_epithelial(
-        rng_, step_, static_cast<VoxelId>(v), s, epi_timer_[v], virus_[v],
-        params_);
+        rng, static_cast<VoxelId>(v), s, epi_timer_[v], virus_[v], params_);
     epi_state_[v] = u.state;
     epi_timer_[v] = u.timer;
   }

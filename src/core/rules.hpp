@@ -18,7 +18,9 @@
 //   4. Reduce    : aggregate statistics; vascular pool update.
 //
 // All randomness is counter-based (util/rng.hpp): decisions depend only on
-// (seed, step, voxel, stream), never on rank count or execution order.
+// (seed, step, voxel, stream), never on rank count or execution order.  Every
+// stochastic rule takes the step's StepRng (CounterRng::at(step)), which
+// carries (seed, step); callers build it once per phase or kernel launch.
 
 #include <algorithm>
 #include <array>
@@ -57,8 +59,7 @@ struct NeighbourView {
 ///  * otherwise pick a uniformly random tissue neighbour (any non-empty
 ///    voxel) and bid to move there; with no tissue neighbour, do nothing.
 /// Whether the bid wins is resolved later against all competitors.
-inline Intent tcell_intent(const CounterRng& rng, std::uint64_t step,
-                           VoxelId v, EpiState own_epi,
+inline Intent tcell_intent(const StepRng& rng, VoxelId v, EpiState own_epi,
                            const NeighbourView& nb) {
   // Binding candidates.
   std::array<VoxelId, 7> cand{};
@@ -71,9 +72,9 @@ inline Intent tcell_intent(const CounterRng& rng, std::uint64_t step,
   }
   if (n_cand > 0) {
     const std::uint32_t pick = rng.uniform_int(
-        step, v, RngStream::kTCellBindChoice, static_cast<std::uint32_t>(n_cand));
+        v, RngStream::kTCellBindChoice, static_cast<std::uint32_t>(n_cand));
     return {IntentKind::kBind, cand[pick],
-            make_bid(rng, step, v, RngStream::kTCellBindBid)};
+            make_bid(rng, v, RngStream::kTCellBindBid)};
   }
   // Movement candidates: any in-bounds tissue voxel.
   std::array<VoxelId, 6> mv{};
@@ -85,9 +86,8 @@ inline Intent tcell_intent(const CounterRng& rng, std::uint64_t step,
   }
   if (n_mv == 0) return {};
   const std::uint32_t pick = rng.uniform_int(
-      step, v, RngStream::kTCellDirection, static_cast<std::uint32_t>(n_mv));
-  return {IntentKind::kMove, mv[pick],
-          make_bid(rng, step, v, RngStream::kTCellBid)};
+      v, RngStream::kTCellDirection, static_cast<std::uint32_t>(n_mv));
+  return {IntentKind::kMove, mv[pick], make_bid(rng, v, RngStream::kTCellBid)};
 }
 
 // ---------------------------------------------------------------------------
@@ -99,26 +99,25 @@ struct EpiUpdate {
   std::uint32_t timer;
 };
 
-/// Samples the Poisson-distributed duration for a state entered at
-/// (step, voxel); at least 1 so a state is observable for one step.
-inline std::uint32_t sample_period(const CounterRng& rng, std::uint64_t step,
-                                   VoxelId v, RngStream stream, double mean) {
-  return std::max<std::uint32_t>(1, rng.poisson(step, v, stream, mean));
+/// Samples the Poisson-distributed duration for a state entered at voxel
+/// `v` in `rng`'s step; at least 1 so a state is observable for one step.
+inline std::uint32_t sample_period(const StepRng& rng, VoxelId v,
+                                   RngStream stream, double mean) {
+  return std::max<std::uint32_t>(1, rng.poisson(v, stream, mean));
 }
 
 /// One epithelial step.  `virus` is the voxel's virion level at the end of
 /// the previous step.  Apoptosis entry happens in the T cell phase (binding),
 /// not here.
-inline EpiUpdate update_epithelial(const CounterRng& rng, std::uint64_t step,
-                                   VoxelId v, EpiState state,
-                                   std::uint32_t timer, float virus,
-                                   const SimParams& p) {
+inline EpiUpdate update_epithelial(const StepRng& rng, VoxelId v,
+                                   EpiState state, std::uint32_t timer,
+                                   float virus, const SimParams& p) {
   switch (state) {
     case EpiState::kHealthy: {
       const double prob = p.infectivity * static_cast<double>(virus);
-      if (virus > 0.0f && rng.bernoulli(step, v, RngStream::kInfection, prob)) {
+      if (virus > 0.0f && rng.bernoulli(v, RngStream::kInfection, prob)) {
         return {EpiState::kIncubating,
-                sample_period(rng, step, v, RngStream::kIncubationPeriod,
+                sample_period(rng, v, RngStream::kIncubationPeriod,
                               p.incubation_period)};
       }
       return {state, timer};
@@ -126,7 +125,7 @@ inline EpiUpdate update_epithelial(const CounterRng& rng, std::uint64_t step,
     case EpiState::kIncubating: {
       if (timer <= 1) {
         return {EpiState::kExpressing,
-                sample_period(rng, step, v, RngStream::kExpressingPeriod,
+                sample_period(rng, v, RngStream::kExpressingPeriod,
                               p.expressing_period)};
       }
       return {state, timer - 1};
@@ -200,19 +199,18 @@ inline std::uint64_t num_extravasation_attempts(double pool,
 
 /// The uniformly random voxel attempt `i` targets.  Globally keyed: every
 /// rank computes the same attempt list and the owner applies it.
-inline VoxelId attempt_voxel(const CounterRng& rng, std::uint64_t step,
-                             std::uint64_t i, std::uint64_t num_voxels) {
-  return rng.uniform_int(step, i, RngStream::kExtravasate,
+inline VoxelId attempt_voxel(const StepRng& rng, std::uint64_t i,
+                             std::uint64_t num_voxels) {
+  return rng.uniform_int(i, RngStream::kExtravasate,
                          static_cast<std::uint32_t>(num_voxels));
 }
 
 /// Acceptance: probability equals the inflammatory-signal level at the
 /// target voxel (fields are normalized to [0,1]).
-inline bool attempt_accepted(const CounterRng& rng, std::uint64_t step,
-                             std::uint64_t i, float chem) {
-  return chem > 0.0f &&
-         rng.bernoulli(step, i, RngStream::kExtravasateProb,
-                       static_cast<double>(chem));
+inline bool attempt_accepted(const StepRng& rng, std::uint64_t i,
+                             float chem) {
+  return chem > 0.0f && rng.bernoulli(i, RngStream::kExtravasateProb,
+                                      static_cast<double>(chem));
 }
 
 /// Vascular pool dynamics applied at the end of each step: production (after

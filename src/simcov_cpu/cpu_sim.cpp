@@ -294,7 +294,27 @@ class CpuRank {
     const std::int32_t rem = v % plane_;
     return {rem % pw_ - 1, rem / pw_ - 1, z};
   }
-  bool owns_global(const Coord& c) const { return sub_.contains(c); }
+
+  /// The interior row a walk over local indices last landed in: a walk
+  /// over the ascending list prefix carries it from voxel to voxel and pays
+  /// local_xyz once per row, not per voxel.
+  struct RowCursor {
+    /// lidx(0, y, z); the initial max holds no row (every seek moves).
+    std::int32_t first = std::numeric_limits<std::int32_t>::max();
+    std::int32_t y = 0, z = 0;
+    VoxelId gid0 = 0;  ///< gid(0, y, z)
+  };
+  /// Moves `rc` to own voxel v's row unless v already lies in it (an entry
+  /// of the unsorted ghost-activation tail usually does not) and returns
+  /// v's local x; v's global id is then rc.gid0 + x.
+  std::int32_t seek(RowCursor& rc, std::int32_t v) const {
+    const std::uint32_t x =
+        static_cast<std::uint32_t>(v) - static_cast<std::uint32_t>(rc.first);
+    if (x < static_cast<std::uint32_t>(w_)) return static_cast<std::int32_t>(x);
+    const LocalXyz c = local_xyz(v);
+    rc = {v - c.x, c.y, c.z, gid(0, c.y, c.z)};
+    return c.x;
+  }
 
   // ---- setup ---------------------------------------------------------------
   void register_channels() {
@@ -355,14 +375,13 @@ class CpuRank {
            transient_epi(epi_state_[i]);
   }
 
-  void mark_active(std::int32_t x, std::int32_t y, std::int32_t z) {
-    if (x < 0 || x >= w_ || y < 0 || y >= h_ || z < 0 || z >= dz_) {
-      return;  // ghosts aren't ours; z never leaves the rank
-    }
-    const std::size_t v = static_cast<std::size_t>(lidx(x, y, z));
-    if (!active_[v]) {
-      active_[v] = 1;
-      active_list_.push_back(static_cast<std::int32_t>(v));
+  /// Appends own voxel v (a local index) to the unsorted tail unless it is
+  /// already listed.
+  void mark_active(std::int32_t v) {
+    const std::size_t vi = static_cast<std::size_t>(v);
+    if (!active_[vi]) {
+      active_[vi] = 1;
+      active_list_.push_back(v);
       ++work_.cpu_list_ops;
     }
   }
@@ -415,8 +434,9 @@ class CpuRank {
   /// list entry counts as one mark and one emit, as in a mark-then-sort
   /// rebuild.
   void rebuild_active_list() {
-    std::vector<std::int32_t> old;
+    std::vector<std::int32_t>& old = prev_active_list_;
     old.swap(active_list_);
+    active_list_.clear();
     for (std::int32_t v : old) active_[static_cast<std::size_t>(v)] = 0;
     work_.cpu_list_ops += old.size();
     std::int32_t lo = std::numeric_limits<std::int32_t>::max(), hi = -1;
@@ -439,7 +459,7 @@ class CpuRank {
 
   // ---- halo exchange ----------------------------------------------------------
   void exchange_state_halo() {
-    std::vector<std::byte> buf;
+    std::vector<std::byte>& buf = state_halo_buf_;
     for (int f = 0; f < kNumFaces; ++f) {
       const int nb = sub_.neighbour[static_cast<std::size_t>(f)];
       if (nb < 0) continue;
@@ -472,7 +492,7 @@ class CpuRank {
   }
 
   void exchange_tmp_halo(int kind) {
-    std::vector<float> buf;
+    std::vector<float>& buf = tmp_halo_buf_;
     for (int f = 0; f < kNumFaces; ++f) {
       const int nb = sub_.neighbour[static_cast<std::size_t>(f)];
       if (nb < 0) continue;
@@ -497,10 +517,7 @@ class CpuRank {
         tmp_[v] = x;
         // A neighbour's boundary just became non-zero: the adjacent own
         // voxel must join this step's diffusion pass (ghost activation).
-        if (x > 0.0f) {
-          const auto c = local_xyz(boundary_idx(f, i));
-          mark_active(c.x, c.y, c.z);
-        }
+        if (x > 0.0f) mark_active(boundary_idx(f, i));
       }
     }
     rank_.barrier();
@@ -514,8 +531,7 @@ class CpuRank {
         const std::size_t g = static_cast<std::size_t>(ghost_idx(f, i));
         if (virus_[g] > 0.0f || chem_[g] > 0.0f ||
             transient_epi(epi_state_[g])) {
-          const auto c = local_xyz(boundary_idx(f, i));
-          mark_active(c.x, c.y, c.z);
+          mark_active(boundary_idx(f, i));
         }
       }
     }
@@ -527,15 +543,14 @@ class CpuRank {
     bid_bind_.clear();
     remote_intents_.clear();
     arrivals_.clear();
+    local_intents_.clear();
+    const StepRng rng = rng_.at(step_);
+    const auto dim_x = static_cast<VoxelId>(grid_.dim_x());
+    const VoxelId plane_ids = dim_x * static_cast<VoxelId>(grid_.dim_y());
 
     // Aging / unbinding; occupancy snapshot ("stage start") is taken after
     // aging, so cells that die this step do not block movers.
-    struct LocalIntent {
-      std::int32_t source;  ///< local idx
-      std::uint32_t timer;
-      rules::Intent intent;
-    };
-    std::vector<LocalIntent> local_intents;
+    RowCursor rc;
     for (std::int32_t v : tcell_list_) {
       const std::size_t vi = static_cast<std::size_t>(v);
       ++work_.cpu_voxel_updates;
@@ -552,35 +567,59 @@ class CpuRank {
       occupancy_[vi] = tcell_[vi];
       if (!eligible) continue;
 
-      const auto c = local_xyz(v);
-      const Coord gc{sub_.origin.x + c.x, sub_.origin.y + c.y, c.z};
+      // Neighbour view in contract order (Grid::neighbours) from the
+      // carried global id and local-index offsets.  Beside each entry sits
+      // its local index and owner: a ghost neighbour belongs to the rank
+      // across the crossed face, and z never leaves the rank.
+      const std::int32_t x = seek(rc, v);
+      const VoxelId g = rc.gid0 + static_cast<VoxelId>(x);
+      const std::int32_t gx = sub_.origin.x + x, gy = sub_.origin.y + rc.y;
       rules::NeighbourView nb;
-      std::array<Coord, 6> coords;
-      nb.count = grid_.neighbours(gc, coords);
-      for (int i = 0; i < nb.count; ++i) {
-        const Coord& nc = coords[static_cast<std::size_t>(i)];
-        nb.ids[static_cast<std::size_t>(i)] = grid_.to_id(nc);
-        nb.epi[static_cast<std::size_t>(i)] =
-            epi_state_[static_cast<std::size_t>(lidx_of(nc))];
+      std::array<std::int32_t, 6> nb_lidx{};
+      std::array<int, 6> nb_owner{};
+      const auto add = [&](bool in_grid, VoxelId id, std::int32_t l,
+                           bool ghost, int face) {
+        if (!in_grid) return;
+        const auto k = static_cast<std::size_t>(nb.count++);
+        nb.ids[k] = id;
+        nb.epi[k] = epi_state_[static_cast<std::size_t>(l)];
+        nb_lidx[k] = l;
+        nb_owner[k] =
+            ghost ? sub_.neighbour[static_cast<std::size_t>(face)] : -1;
+      };
+      add(gx > 0, g - 1, v - 1, x == 0, kFaceXNeg);
+      add(gx + 1 < grid_.dim_x(), g + 1, v + 1, x == w_ - 1, kFaceXPos);
+      add(gy > 0, g - dim_x, v - pw_, rc.y == 0, kFaceYNeg);
+      add(gy + 1 < grid_.dim_y(), g + dim_x, v + pw_, rc.y == h_ - 1,
+          kFaceYPos);
+      if (dz_ > 1) {
+        add(rc.z > 0, g - plane_ids, v - plane_, false, 0);
+        add(rc.z + 1 < dz_, g + plane_ids, v + plane_, false, 0);
       }
       const rules::Intent intent =
-          rules::tcell_intent(rng_, step_, grid_.to_id(gc), epi_state_[vi], nb);
+          rules::tcell_intent(rng, g, epi_state_[vi], nb);
       if (intent.kind == rules::IntentKind::kNone) continue;
 
-      const Coord tc = grid_.to_coord(intent.target);
-      if (owns_global(tc)) {
+      // The target is the own voxel (bind only) or one view entry.
+      std::int32_t target = v;
+      int owner_rank = -1;
+      if (intent.target != g) {
+        std::size_t k = 0;
+        while (nb.ids[k] != intent.target) ++k;
+        target = nb_lidx[k];
+        owner_rank = nb_owner[k];
+      }
+      if (owner_rank < 0) {
         auto& field = (intent.kind == rules::IntentKind::kMove) ? bid_move_
                                                                 : bid_bind_;
         auto [it, inserted] = field.try_emplace(intent.target, intent.bid);
         if (!inserted) it->second = std::max(it->second, intent.bid);
-        local_intents.push_back({v, tcell_timer_[vi], intent});
+        local_intents_.push_back({v, target, tcell_timer_[vi], intent});
         work_.cpu_list_ops += 2;
       } else {
         // Cross-boundary competition: RPC the bid to the owner.
-        const int owner_rank = owner_of(tc);
         RemoteIntent ri{static_cast<std::uint8_t>(intent.kind), intent.target,
-                        grid_.to_id(gc), intent.bid, tcell_timer_[vi],
-                        rank_.id()};
+                        g, intent.bid, tcell_timer_[vi], rank_.id()};
         CpuRank* owner = registry_[static_cast<std::size_t>(owner_rank)];
         rank_.rpc(owner_rank, [owner, ri] { owner->on_remote_intent(ri); },
                   sizeof(RemoteIntent));
@@ -590,8 +629,8 @@ class CpuRank {
 
     // Resolution: the owner of each contested voxel decides; winners of
     // remote intents get a reply RPC (the "communicate the result" round).
-    for (const auto& li : local_intents) {
-      if (!apply_local_winner(li.intent, li.timer)) continue;
+    for (const auto& li : local_intents_) {
+      if (!apply_local_winner(rng, li.intent, li.target, li.timer)) continue;
       const std::size_t src = static_cast<std::size_t>(li.source);
       if (li.intent.kind == rules::IntentKind::kMove) {
         tcell_[src] = 0;
@@ -604,7 +643,10 @@ class CpuRank {
     for (const auto& ri : remote_intents_) {
       const rules::Intent intent{static_cast<rules::IntentKind>(ri.kind),
                                  ri.target, ri.bid};
-      if (!apply_local_winner(intent, ri.timer)) continue;
+      if (!apply_local_winner(rng, intent,
+                              lidx_of(grid_.to_coord(ri.target)), ri.timer)) {
+        continue;
+      }
       CpuRank* src = registry_[static_cast<std::size_t>(ri.source_rank)];
       const std::uint8_t kind = ri.kind;
       const VoxelId source = ri.source;
@@ -615,32 +657,53 @@ class CpuRank {
     rank_.rpc_quiescence();  // all replies delivered
 
     // Extravasation: globally keyed attempts, applied by the voxel owner.
+    // Every rank draws every attempt's voxel, and those draws do not depend
+    // on each other, so each batch first keeps this rank's attempts in a
+    // branch-free pass (x/y ownership only: z never leaves the rank); the
+    // order-dependent accept-and-apply pass then visits just those, in
+    // attempt order.
     const std::uint64_t attempts = rules::num_extravasation_attempts(
         pool_, params_.max_extravasate_per_step);
+    work_.cpu_list_ops += attempts;
     std::uint64_t successes = 0;
-    for (std::uint64_t i = 0; i < attempts; ++i) {
-      ++work_.cpu_list_ops;
-      const VoxelId u =
-          rules::attempt_voxel(rng_, step_, i, grid_.num_voxels());
-      const Coord uc = grid_.to_coord(u);
-      if (!owns_global(uc)) continue;
-      const std::size_t ui = static_cast<std::size_t>(lidx_of(uc));
-      if (!rules::attempt_accepted(rng_, step_, i, chem_[ui])) continue;
-      if (epi_state_[ui] == EpiState::kEmpty) continue;
-      if (tcell_[ui]) continue;
-      tcell_[ui] = 1;
-      tcell_timer_[ui] =
-          static_cast<std::uint32_t>(params_.tcell_tissue_period);
-      tcell_bind_[ui] = 0;
-      arrivals_.push_back(static_cast<std::int32_t>(ui));
-      ++successes;
+    struct OwnedAttempt {
+      std::uint64_t i;
+      Coord c;
+    };
+    constexpr std::uint64_t kBatch = 256;
+    std::array<OwnedAttempt, kBatch> owned;
+    for (std::uint64_t i0 = 0; i0 < attempts; i0 += kBatch) {
+      const std::uint64_t i1 = std::min(attempts, i0 + kBatch);
+      std::size_t n = 0;
+      for (std::uint64_t i = i0; i < i1; ++i) {
+        const Coord c =
+            grid_.to_coord(rules::attempt_voxel(rng, i, grid_.num_voxels()));
+        owned[n] = {i, c};
+        n += (static_cast<std::uint32_t>(c.x - sub_.origin.x) <
+              static_cast<std::uint32_t>(w_)) &
+             (static_cast<std::uint32_t>(c.y - sub_.origin.y) <
+              static_cast<std::uint32_t>(h_));
+      }
+      for (std::size_t k = 0; k < n; ++k) {
+        const std::size_t ui = static_cast<std::size_t>(lidx_of(owned[k].c));
+        if (!rules::attempt_accepted(rng, owned[k].i, chem_[ui])) continue;
+        if (epi_state_[ui] == EpiState::kEmpty) continue;
+        if (tcell_[ui]) continue;
+        tcell_[ui] = 1;
+        tcell_timer_[ui] =
+            static_cast<std::uint32_t>(params_.tcell_tissue_period);
+        tcell_bind_[ui] = 0;
+        arrivals_.push_back(static_cast<std::int32_t>(ui));
+        ++successes;
+      }
     }
     stats.extravasated = successes;
 
     // Rebuild the T cell list (dedup via in_list_: an arrival's voxel may
     // coincide with a stale old-list entry whose occupant died or left).
-    std::vector<std::int32_t> candidates;
+    std::vector<std::int32_t>& candidates = tcell_candidates_;
     candidates.swap(tcell_list_);
+    tcell_list_.clear();
     candidates.insert(candidates.end(), arrivals_.begin(), arrivals_.end());
     for (std::int32_t v : candidates) {
       const std::size_t vi = static_cast<std::size_t>(v);
@@ -660,52 +723,46 @@ class CpuRank {
     work_.cpu_list_ops += 2 * candidates.size();
   }
 
-  /// Applies the target-side effect if (intent, bid) wins at a voxel this
-  /// rank owns.  Returns true on a win (caller handles the source side).
-  bool apply_local_winner(const rules::Intent& intent, std::uint32_t timer) {
-    const std::size_t t =
-        static_cast<std::size_t>(lidx_of(grid_.to_coord(intent.target)));
+  /// Applies the target-side effect if (intent, bid) wins at own voxel `t`
+  /// (the local index of intent.target).  Returns true on a win (caller
+  /// handles the source side).
+  bool apply_local_winner(const StepRng& rng, const rules::Intent& intent,
+                          std::int32_t t, std::uint32_t timer) {
+    const std::size_t ti = static_cast<std::size_t>(t);
     if (intent.kind == rules::IntentKind::kMove) {
       auto it = bid_move_.find(intent.target);
       if (it == bid_move_.end() || it->second != intent.bid) return false;
-      if (occupancy_[t]) return false;  // ran into another T cell
-      tcell_[t] = 1;
-      tcell_timer_[t] = timer;
-      tcell_bind_[t] = 0;
-      arrivals_.push_back(static_cast<std::int32_t>(t));
+      if (occupancy_[ti]) return false;  // ran into another T cell
+      tcell_[ti] = 1;
+      tcell_timer_[ti] = timer;
+      tcell_bind_[ti] = 0;
+      arrivals_.push_back(t);
       return true;
     }
     auto it = bid_bind_.find(intent.target);
     if (it == bid_bind_.end() || it->second != intent.bid) return false;
-    if (epi_state_[t] != EpiState::kExpressing) return false;
-    epi_state_[t] = EpiState::kApoptotic;
-    epi_timer_[t] = rules::sample_period(rng_, step_, intent.target,
-                                         RngStream::kApoptosisPeriod,
-                                         params_.apoptosis_period);
+    if (epi_state_[ti] != EpiState::kExpressing) return false;
+    epi_state_[ti] = EpiState::kApoptotic;
+    epi_timer_[ti] = rules::sample_period(rng, intent.target,
+                                          RngStream::kApoptosisPeriod,
+                                          params_.apoptosis_period);
     --epi_counts_[static_cast<std::size_t>(EpiState::kExpressing)];
     ++epi_counts_[static_cast<std::size_t>(EpiState::kApoptotic)];
     return true;
   }
 
-  int owner_of(const Coord& c) const {
-    // Only face neighbours are reachable (von Neumann interactions, ghost
-    // width 1): derive the rank from the crossed face.
-    if (c.x < sub_.origin.x) return sub_.neighbour[kFaceXNeg];
-    if (c.x >= sub_.origin.x + sub_.extent.x) return sub_.neighbour[kFaceXPos];
-    if (c.y < sub_.origin.y) return sub_.neighbour[kFaceYNeg];
-    return sub_.neighbour[kFaceYPos];
-  }
-
   void phase_epithelial() {
+    const StepRng rng = rng_.at(step_);
+    RowCursor rc;
     for (std::int32_t v : active_list_) {
       const std::size_t vi = static_cast<std::size_t>(v);
       const EpiState s = epi_state_[vi];
       if (s == EpiState::kEmpty || s == EpiState::kDead) continue;
       ++work_.cpu_voxel_updates;
-      const auto c = local_xyz(v);
+      const std::int32_t x = seek(rc, v);
       const rules::EpiUpdate u = rules::update_epithelial(
-          rng_, step_, gid(c.x, c.y, c.z), s, epi_timer_[vi], virus_[vi],
-          params_);
+          rng, rc.gid0 + static_cast<VoxelId>(x), s, epi_timer_[vi],
+          virus_[vi], params_);
       if (u.state != s) {
         --epi_counts_[static_cast<std::size_t>(s)];
         ++epi_counts_[static_cast<std::size_t>(u.state)];
@@ -765,12 +822,13 @@ class CpuRank {
     // only tmp and writes only field, so in-list neighbours read
     // pre-diffusion tmp values with no staging buffer.
     const bool three_d = dz_ > 1;
+    RowCursor rc;
     for (std::size_t k = 0, m = active_list_.size(); k < m;) {
       std::size_t e = k + 1;
       while (e < m && active_list_[e] == active_list_[e - 1] + 1) ++e;
       const std::int32_t v0 = active_list_[k];
       const auto len = static_cast<std::int32_t>(e - k);
-      diffuse_span(field, v0, len, three_d, diffusion, floor_eps);
+      diffuse_span(field, rc, v0, len, three_d, diffusion, floor_eps);
       work_.cpu_voxel_updates += static_cast<std::uint64_t>(len);
       k = e;
     }
@@ -807,15 +865,15 @@ class CpuRank {
   }
 
   /// Diffuses a span of `len` consecutive voxels starting at local index
-  /// `v0` (one padded row, single y/z).  Global x-edge voxels are peeled:
-  /// the all-zero edge ghost column keeps the neighbour *sum* identical,
-  /// but diffuse_row takes one uniform in-bounds count per call.
-  void diffuse_span(util::aligned_vector<float>& field, std::int32_t v0,
-                    std::int32_t len, bool three_d, double diffusion,
-                    double floor_eps) {
-    const auto c0 = local_xyz(v0);
-    const std::int32_t gx0 = sub_.origin.x + c0.x;
-    const std::int32_t gy = sub_.origin.y + c0.y;
+  /// `v0` (one padded row, single y/z; `rc` is the pass's row cursor).
+  /// Global x-edge voxels are peeled: the all-zero edge ghost column keeps
+  /// the neighbour *sum* identical, but diffuse_row takes one uniform
+  /// in-bounds count per call.
+  void diffuse_span(util::aligned_vector<float>& field, RowCursor& rc,
+                    std::int32_t v0, std::int32_t len, bool three_d,
+                    double diffusion, double floor_eps) {
+    const std::int32_t gx0 = sub_.origin.x + seek(rc, v0);
+    const std::int32_t gy = sub_.origin.y + rc.y;
     std::int32_t lo = 0, hi = len;
     if (gx0 == 0) {
       diffuse_voxel_scalar(field, v0, diffusion, floor_eps);
@@ -840,12 +898,12 @@ class CpuRank {
     // 3D: the padded planes carry x/y ghosts only — a global z edge reads
     // the spare all-zero row instead (the +0.0 identity again; the z terms
     // are excluded from cnt).
-    const float* zm = c0.z > 0 ? &tmp_[b - static_cast<std::size_t>(plane_)]
+    const float* zm = rc.z > 0 ? &tmp_[b - static_cast<std::size_t>(plane_)]
                                : zeros_row_.data();
-    const float* zp = c0.z + 1 < dz_
+    const float* zp = rc.z + 1 < dz_
                           ? &tmp_[b + static_cast<std::size_t>(plane_)]
                           : zeros_row_.data();
-    cnt += (c0.z > 0 ? 1 : 0) + (c0.z + 1 < dz_ ? 1 : 0);
+    cnt += (rc.z > 0 ? 1 : 0) + (rc.z + 1 < dz_ ? 1 : 0);
     stencil::diffuse_row_3d(c, ym, yp, zm, zp, &field[b], n, cnt, diffusion,
                             floor_eps);
   }
@@ -957,6 +1015,14 @@ class CpuRank {
     std::uint64_t cpu_list_ops = 0;
   };
 
+  /// A T cell's intent on a voxel this rank owns.
+  struct LocalIntent {
+    std::int32_t source;  ///< local idx of the T cell
+    std::int32_t target;  ///< local idx of intent.target
+    std::uint32_t timer;
+    rules::Intent intent;
+  };
+
   // ---- members -------------------------------------------------------------------
   pgas::Rank& rank_;
   SimParams params_;
@@ -988,6 +1054,12 @@ class CpuRank {
   std::vector<std::int32_t> active_list_;
   std::vector<std::int32_t> tcell_list_;
   std::vector<std::int32_t> arrivals_;
+  // Per-step scratch, kept so its storage is reused from step to step.
+  std::vector<std::int32_t> prev_active_list_;
+  std::vector<std::int32_t> tcell_candidates_;
+  std::vector<LocalIntent> local_intents_;
+  std::vector<std::byte> state_halo_buf_;
+  std::vector<float> tmp_halo_buf_;
 
   std::unordered_map<VoxelId, std::uint64_t> bid_move_;
   std::unordered_map<VoxelId, std::uint64_t> bid_bind_;

@@ -498,7 +498,8 @@ class GpuRank {
   void for_active_voxels(const char* name, Bind&& bind) {
     const auto& list = tiles_.active_list();
     if (list.empty()) return;
-    const DivU32 per_tile(static_cast<std::uint32_t>(lay_.slots_per_tile()));
+    const util::DivU32 per_tile(
+        static_cast<std::uint32_t>(lay_.slots_per_tile()));
     const std::uint32_t ts = lay_.tile_stride();
     for_each_item(list.size() * per_tile.divisor(), name, [&](auto& blk) {
       return [&, per_tile, ts, tiles = blk.global(active_tiles_dev_),
@@ -526,7 +527,7 @@ class GpuRank {
   void for_active_rows(const char* name, Bind&& bind) {
     const auto& list = tiles_.active_list();
     if (list.empty()) return;
-    const DivU32 per_tile(static_cast<std::uint32_t>(lay_.tile_side()));
+    const util::DivU32 per_tile(static_cast<std::uint32_t>(lay_.tile_side()));
     for_each_item(list.size() * per_tile.divisor(), name, [&](auto& blk) {
       return [&, per_tile, tiles = blk.global(active_tiles_dev_),
               body = bind(blk)](std::uint64_t i) {
@@ -617,9 +618,9 @@ class GpuRank {
   }
 
   void k_intents() {
-    const std::uint64_t step = step_;
-    for_active_voxels("k_intents", [&, step](auto& blk) {
-      return [&, step, elig = blk.global(eligible_),
+    const StepRng rng = rng_.at(step_);
+    for_active_voxels("k_intents", [&, rng](auto& blk) {
+      return [&, rng, elig = blk.global(eligible_),
               epi = blk.global(epi_state_), kind = blk.global(intent_kind_),
               target = blk.global(intent_target_), bid = blk.global(intent_bid_),
               itimer = blk.global(intent_timer_),
@@ -645,7 +646,7 @@ class GpuRank {
         }
         const VoxelId v = gid(x, y);
         const rules::Intent intent = rules::tcell_intent(
-            rng_, step, v, static_cast<EpiState>(epi.read(slot)), nb);
+            rng, v, static_cast<EpiState>(epi.read(slot)), nb);
         if (intent.kind == rules::IntentKind::kNone) return;
         kind.write(slot, static_cast<std::uint8_t>(intent.kind));
         target.write(slot, intent.target);
@@ -663,18 +664,11 @@ class GpuRank {
   /// Layout slot of a global voxel id within my padded domain (interior or
   /// ghost ring; anything further away is a bug).
   std::uint32_t slot_of_global(VoxelId v) const {
-    const std::int32_t gx = static_cast<std::int32_t>(
-        v % static_cast<VoxelId>(grid_.dim_x()));
-    const std::int32_t gy = static_cast<std::int32_t>(
-        v / static_cast<VoxelId>(grid_.dim_x()));
-    return lay_.index(gx - sub_.origin.x, gy - sub_.origin.y);
+    const Coord c = grid_.to_coord(v);
+    return lay_.index(c.x - sub_.origin.x, c.y - sub_.origin.y);
   }
   bool global_is_mine(VoxelId v) const {
-    const std::int32_t gx = static_cast<std::int32_t>(
-        v % static_cast<VoxelId>(grid_.dim_x()));
-    const std::int32_t gy = static_cast<std::int32_t>(
-        v / static_cast<VoxelId>(grid_.dim_x()));
-    return sub_.contains({gx, gy, 0});
+    return sub_.contains(grid_.to_coord(v));
   }
 
   void k_moves_own() {
@@ -735,9 +729,9 @@ class GpuRank {
   }
 
   void k_binds_own() {
-    const std::uint64_t step = step_;
-    for_active_voxels("k_binds_own", [&, step](auto& blk) {
-      return [&, step, kind = blk.global(intent_kind_),
+    const StepRng rng = rng_.at(step_);
+    for_active_voxels("k_binds_own", [&, rng](auto& blk) {
+      return [&, rng, kind = blk.global(intent_kind_),
               targets = blk.global(intent_target_),
               bids = blk.global(intent_bid_), bb = blk.global(bid_bind_),
               epi = blk.global(epi_state_), bind = blk.global(tcell_bind_),
@@ -756,7 +750,7 @@ class GpuRank {
                    static_cast<std::uint32_t>(params_.tcell_binding_period));
         if (global_is_mine(target)) {
           epi.write(tslot, static_cast<std::uint8_t>(EpiState::kApoptotic));
-          etimer.write(tslot, rules::sample_period(rng_, step, target,
+          etimer.write(tslot, rules::sample_period(rng, target,
                                                    RngStream::kApoptosisPeriod,
                                                    params_.apoptosis_period));
         }
@@ -765,11 +759,11 @@ class GpuRank {
   }
 
   void k_binds_ghost() {
-    const std::uint64_t step = step_;
+    const StepRng rng = rng_.at(step_);
     const std::uint32_t base = lay_.interior_slots();
     const std::uint64_t n = lay_.size() - base;
     for_each_item(n, "k_binds_ghost", [&](auto& blk) {
-      return [&, step, base, kind = blk.global(intent_kind_),
+      return [&, rng, base, kind = blk.global(intent_kind_),
               targets = blk.global(intent_target_),
               bids = blk.global(intent_bid_), bb = blk.global(bid_bind_),
               epi = blk.global(epi_state_),
@@ -786,7 +780,7 @@ class GpuRank {
         if (static_cast<EpiState>(epi.read(tslot)) != EpiState::kExpressing)
           return;
         epi.write(tslot, static_cast<std::uint8_t>(EpiState::kApoptotic));
-        etimer.write(tslot, rules::sample_period(rng_, step, target,
+        etimer.write(tslot, rules::sample_period(rng, target,
                                                  RngStream::kApoptosisPeriod,
                                                  params_.apoptosis_period));
       };
@@ -799,9 +793,9 @@ class GpuRank {
     // serial rule; the attempt count is tiny relative to the voxel kernels.
     const std::uint64_t attempts = rules::num_extravasation_attempts(
         pool_, params_.max_extravasate_per_step);
-    const std::uint64_t step = step_;
+    const StepRng rng = rng_.at(step_);
     dev_.launch_blocks({1, 1, "k_extravasation"},
-                       [&, attempts, step](auto& blk) {
+                       [&, attempts, rng](auto& blk) {
       blk.for_each_thread([&](std::uint32_t) {
         auto tc = blk.global(tcell_);
         auto timer = blk.global(tcell_timer_);
@@ -811,12 +805,10 @@ class GpuRank {
         auto count = blk.global(extrav_dev_);
         std::uint32_t successes = 0;
         for (std::uint64_t i = 0; i < attempts; ++i) {
-          const VoxelId u =
-              rules::attempt_voxel(rng_, step, i, grid_.num_voxels());
+          const VoxelId u = rules::attempt_voxel(rng, i, grid_.num_voxels());
           if (!global_is_mine(u)) continue;
           const std::uint32_t slot = slot_of_global(u);
-          if (!rules::attempt_accepted(rng_, step, i, chem.read(slot)))
-            continue;
+          if (!rules::attempt_accepted(rng, i, chem.read(slot))) continue;
           if (static_cast<EpiState>(epi.read(slot)) == EpiState::kEmpty)
             continue;
           if (tc.read(slot)) continue;
@@ -832,16 +824,15 @@ class GpuRank {
   }
 
   void k_epithelial() {
-    const std::uint64_t step = step_;
-    for_active_voxels("k_epithelial", [&, step](auto& blk) {
-      return [&, step, epi = blk.global(epi_state_),
+    const StepRng rng = rng_.at(step_);
+    for_active_voxels("k_epithelial", [&, rng](auto& blk) {
+      return [&, rng, epi = blk.global(epi_state_),
               timer = blk.global(epi_timer_), vir = blk.global(virus_)](
                  std::int32_t x, std::int32_t y, std::uint32_t slot) {
         const auto s = static_cast<EpiState>(epi.read(slot));
         if (s == EpiState::kEmpty || s == EpiState::kDead) return;
         const rules::EpiUpdate u = rules::update_epithelial(
-            rng_, step, gid(x, y), s, timer.read(slot), vir.read(slot),
-            params_);
+            rng, gid(x, y), s, timer.read(slot), vir.read(slot), params_);
         epi.write(slot, static_cast<std::uint8_t>(u.state));
         timer.write(slot, u.timer);
       };

@@ -20,8 +20,8 @@
 // stencil sweep (core/stencil.hpp) run whole rows with aligned accesses.
 //
 // The kernels' addressing is division-free.  index() divides by the tile
-// side through a precomputed reciprocal (DivU32).  A kernel thread gets its
-// (x, y) either from an active-tile list entry plus its in-tile offset
+// side through a precomputed reciprocal (util::DivU32).  A kernel thread
+// gets its (x, y) either from an active-tile list entry plus its in-tile offset
 // (tile_offset_to_xy: tiles per row through a reciprocal, the in-tile
 // offset -> (ix, iy) split through a lookup table) or from a tile row
 // (tile_row / row).  The table has a fixed size held inline (tile side
@@ -38,34 +38,10 @@
 #include <cstdint>
 
 #include "util/align.hpp"
+#include "util/div_u32.hpp"
 #include "util/error.hpp"
 
 namespace simcov::gpu {
-
-/// Unsigned 32-bit division by a run-time invariant divisor as one 64-bit
-/// multiply-high (Lemire, Kaser & Kurz 2019): with M = ceil(2^64 / d),
-/// n / d == (n * M) >> 64 for every 32-bit n and every d >= 2.  d == 1
-/// would need M = 2^64, so it keeps M = 0 and adds n back through a mask.
-class DivU32 {
- public:
-  explicit DivU32(std::uint32_t d)
-      : m_(d > 1 ? ~std::uint64_t{0} / d + 1 : 0),
-        identity_(d == 1 ? ~std::uint32_t{0} : 0),
-        d_(d) {
-    SIMCOV_REQUIRE(d >= 1, "divisor must be positive");
-  }
-
-  std::uint32_t divisor() const { return d_; }
-  std::uint32_t div(std::uint32_t n) const {
-    __extension__ using U128 = unsigned __int128;
-    return static_cast<std::uint32_t>((U128{m_} * n) >> 64) + (n & identity_);
-  }
-
- private:
-  std::uint64_t m_;
-  std::uint32_t identity_;  ///< all ones when d == 1, else 0
-  std::uint32_t d_;
-};
 
 class TiledLayout {
  public:
@@ -240,7 +216,7 @@ class TiledLayout {
   std::int32_t w_, h_, tile_;
   std::int32_t tiles_x_, tiles_y_;
   std::uint32_t stride_;  ///< tile_stride(), cached
-  DivU32 div_tile_, div_tiles_x_;
+  util::DivU32 div_tile_, div_tiles_x_;
   std::array<InTile, kMaxTileSide * kMaxTileSide> in_tile_{};
 };
 

@@ -6,12 +6,14 @@
 
 namespace simcov {
 
-std::uint32_t CounterRng::poisson(std::uint64_t step, std::uint64_t entity,
-                                  RngStream stream, double mean) const {
+std::uint32_t StepRng::poisson(std::uint64_t entity, RngStream stream,
+                               double mean) const {
   SIMCOV_REQUIRE(mean >= 0.0, "poisson mean must be non-negative");
   if (mean == 0.0) return 0;
   // Knuth inversion: product of uniforms until it drops below e^-mean.
-  // Each iteration uses a distinct salt so draws are independent.
+  // Each iteration uses a distinct salt so draws are independent; the
+  // (entity, stream) rounds are shared, so an iteration costs one mix.
+  const std::uint64_t h = keyed(entity, stream);
   const double limit = std::exp(-mean);
   double product = 1.0;
   std::uint32_t k = 0;
@@ -19,7 +21,7 @@ std::uint32_t CounterRng::poisson(std::uint64_t step, std::uint64_t entity,
   const std::uint32_t cap =
       static_cast<std::uint32_t>(mean + 40.0 * std::sqrt(mean) + 16.0);
   while (k < cap) {
-    product *= uniform(step, entity, stream, /*salt=*/k + 1);
+    product *= to_unit(salted(h, /*salt=*/k + 1));
     if (product <= limit) break;
     ++k;
   }

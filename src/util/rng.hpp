@@ -53,72 +53,131 @@ constexpr std::uint64_t mix64(std::uint64_t x) {
 
 }  // namespace rng_detail
 
-/// A counter-based generator: stateless, O(1) to "seek", and identical on
-/// every backend.  Copies are free; there is no sequence to advance.
-class CounterRng {
+/// The generator keyed at one step: holds the mixed (seed, step) prefix, so
+/// each draw pays only the entity, stream and salt rounds.  Every rule that
+/// runs inside a step takes one of these (CounterRng::at); a kernel or a
+/// phase loop builds it once and draws from it per voxel.
+class StepRng {
  public:
-  constexpr explicit CounterRng(std::uint64_t seed) : seed_(seed) {}
-
-  /// Raw 64-bit draw for decision `stream` at (step, entity).
+  /// Raw 64-bit draw for decision `stream` at `entity` in this step.
   /// `entity` is usually a voxel id; `salt` distinguishes repeated draws
   /// within one decision (e.g. rejection sampling iterations).
+  constexpr std::uint64_t draw(std::uint64_t entity, RngStream stream,
+                               std::uint64_t salt = 0) const {
+    return salted(keyed(entity, stream), salt);
+  }
+
+  /// Uniform double in [0, 1).
+  constexpr double uniform(std::uint64_t entity, RngStream stream,
+                           std::uint64_t salt = 0) const {
+    return to_unit(draw(entity, stream, salt));
+  }
+
+  /// Uniform integer in [0, n).  n must be > 0.
+  constexpr std::uint32_t uniform_int(std::uint64_t entity, RngStream stream,
+                                      std::uint32_t n,
+                                      std::uint64_t salt = 0) const {
+    // 64-bit multiply-shift; bias is < 2^-32 which is negligible for the
+    // small ranges (neighbour counts, tile counts) used here.
+    const std::uint64_t r = draw(entity, stream, salt);
+    return static_cast<std::uint32_t>(
+        (static_cast<unsigned __int128>(r) * n) >> 64);
+  }
+
+  /// Bernoulli trial with probability p (clamped to [0,1]).
+  constexpr bool bernoulli(std::uint64_t entity, RngStream stream, double p,
+                           std::uint64_t salt = 0) const {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return uniform(entity, stream, salt) < p;
+  }
+
+  /// Poisson sample by inversion (Knuth's algorithm); mean must be modest
+  /// (incubation periods are O(100)), so we cap iterations defensively.
+  /// The (entity, stream) rounds are mixed once; each iteration adds one.
+  std::uint32_t poisson(std::uint64_t entity, RngStream stream,
+                        double mean) const;
+
+ private:
+  friend class CounterRng;
+  constexpr explicit StepRng(std::uint64_t prefix) : prefix_(prefix) {}
+
+  constexpr std::uint64_t keyed(std::uint64_t entity, RngStream stream) const {
+    using rng_detail::mix64;
+    return mix64(mix64(prefix_ ^ entity) ^ static_cast<std::uint64_t>(stream));
+  }
+  static constexpr std::uint64_t salted(std::uint64_t keyed_h,
+                                        std::uint64_t salt) {
+    return rng_detail::mix64(keyed_h ^ salt);
+  }
+  /// 53 high bits -> [0,1) with full double precision.
+  static constexpr double to_unit(std::uint64_t r) {
+    return static_cast<double>(r >> 11) * (1.0 / 9007199254740992.0);
+  }
+
+  std::uint64_t prefix_;  ///< mix64(mix64(seed ^ K) ^ step)
+};
+
+/// A counter-based generator: stateless, O(1) to "seek", and identical on
+/// every backend.  Copies are free; there is no sequence to advance.  The
+/// step-taking members are shorthands for at(step), kept for one-off draws
+/// outside the per-step rules (FOI placement, airways, tests).
+class CounterRng {
+ public:
+  constexpr explicit CounterRng(std::uint64_t seed)
+      : seed_(seed), seed_h_(rng_detail::mix64(seed ^ 0x243f6a8885a308d3ULL)) {}
+
+  /// The generator keyed at `step`.
+  constexpr StepRng at(std::uint64_t step) const {
+    return StepRng(rng_detail::mix64(seed_h_ ^ step));
+  }
+
+  /// Raw 64-bit draw for decision `stream` at (step, entity).
   constexpr std::uint64_t draw(std::uint64_t step, std::uint64_t entity,
                                RngStream stream, std::uint64_t salt = 0) const {
-    using rng_detail::mix64;
-    std::uint64_t h = mix64(seed_ ^ 0x243f6a8885a308d3ULL);
-    h = mix64(h ^ step);
-    h = mix64(h ^ entity);
-    h = mix64(h ^ static_cast<std::uint64_t>(stream));
-    h = mix64(h ^ salt);
-    return h;
+    return at(step).draw(entity, stream, salt);
   }
 
   /// Uniform double in [0, 1).
   constexpr double uniform(std::uint64_t step, std::uint64_t entity,
                            RngStream stream, std::uint64_t salt = 0) const {
-    // 53 high bits -> [0,1) with full double precision.
-    return static_cast<double>(draw(step, entity, stream, salt) >> 11) *
-           (1.0 / 9007199254740992.0);
+    return at(step).uniform(entity, stream, salt);
   }
 
   /// Uniform integer in [0, n).  n must be > 0.
   constexpr std::uint32_t uniform_int(std::uint64_t step, std::uint64_t entity,
                                       RngStream stream, std::uint32_t n,
                                       std::uint64_t salt = 0) const {
-    // 64-bit multiply-shift; bias is < 2^-32 which is negligible for the
-    // small ranges (neighbour counts, tile counts) used here.
-    const std::uint64_t r = draw(step, entity, stream, salt);
-    return static_cast<std::uint32_t>(
-        (static_cast<unsigned __int128>(r) * n) >> 64);
+    return at(step).uniform_int(entity, stream, n, salt);
   }
 
   /// Bernoulli trial with probability p (clamped to [0,1]).
   constexpr bool bernoulli(std::uint64_t step, std::uint64_t entity,
                            RngStream stream, double p,
                            std::uint64_t salt = 0) const {
-    if (p <= 0.0) return false;
-    if (p >= 1.0) return true;
-    return uniform(step, entity, stream, salt) < p;
+    return at(step).bernoulli(entity, stream, p, salt);
   }
 
-  /// Poisson sample by inversion (Knuth's algorithm); mean must be modest
-  /// (incubation periods are O(100)), so we cap iterations defensively.
+  /// Poisson sample (see StepRng::poisson).
   std::uint32_t poisson(std::uint64_t step, std::uint64_t entity,
-                        RngStream stream, double mean) const;
+                        RngStream stream, double mean) const {
+    return at(step).poisson(entity, stream, mean);
+  }
 
   constexpr std::uint64_t seed() const { return seed_; }
 
  private:
   std::uint64_t seed_;
+  std::uint64_t seed_h_;  ///< mix64(seed ^ K), the first round of every draw
 };
 
 /// Bid values for spatial resource competition (§3.1).  The top 32 bits are
 /// a pseudo-random draw, the bottom 32 bits are the source voxel id, so two
 /// distinct competitors can never tie, and every rank computes the same
 /// winner from the same inputs.
-constexpr std::uint64_t make_bid(const CounterRng& rng, std::uint64_t step,
-                                 std::uint64_t source_voxel, RngStream stream) {
-  const std::uint64_t r = rng.draw(step, source_voxel, stream);
+constexpr std::uint64_t make_bid(const StepRng& rng, std::uint64_t source_voxel,
+                                 RngStream stream) {
+  const std::uint64_t r = rng.draw(source_voxel, stream);
   return (r & 0xffffffff00000000ULL) |
          (source_voxel & 0x00000000ffffffffULL);
 }

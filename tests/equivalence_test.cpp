@@ -14,6 +14,7 @@
 #include "core/foi.hpp"
 #include "core/grid.hpp"
 #include "core/reference_sim.hpp"
+#include "core/rules.hpp"
 #include "simcov_cpu/cpu_sim.hpp"
 #include "simcov_gpu/gpu_sim.hpp"
 
@@ -189,6 +190,66 @@ TEST(Equivalence, CpuLinearOneRowPerRank) {
                  << c.dim_x << "x" << c.dim_y << "x" << c.dim_z << " ranks="
                  << c.ranks);
     expect_cpu_matches_reference(c);
+  }
+}
+
+// Extravasation with the attempt cap binding: a pool far above a small
+// max_extravasate_per_step, on ragged grids whose voxel counts are not
+// powers of two, so the globally keyed attempt voxels split through every
+// rank's ownership test and the apoptosis draws follow from won binds.
+TEST(Equivalence, ExtravasationCapBindsOnRaggedGrids) {
+  constexpr auto kBlock = Decomposition::Kind::kBlock2D;
+  constexpr auto kLinear = Decomposition::Kind::kLinear;
+  for (const std::int32_t dim_z : {1, 3}) {
+    SimParams p = small_params();
+    p.dim_x = 37;
+    p.dim_y = dim_z == 1 ? 29 : 13;
+    p.dim_z = dim_z;
+    p.num_steps = 70;
+    p.num_foi = 4;
+    p.tcell_initial_delay = 5;
+    p.tcell_generation_rate = 60.0;
+    p.max_extravasate_per_step = 5;
+    const Grid grid(p.dim_x, p.dim_y, p.dim_z);
+    const auto foi = foi_uniform_random(grid, p.num_foi, p.seed);
+    SCOPED_TRACE(::testing::Message() << "dim_z=" << dim_z);
+
+    ReferenceSim ref(p, foi);
+    std::vector<std::uint64_t> ref_digests;
+    bool cap_hit = false;
+    std::uint64_t entered = 0;
+    for (std::int64_t s = 0; s < p.num_steps; ++s) {
+      const auto attempts = rules::num_extravasation_attempts(
+          ref.vascular_pool(), p.max_extravasate_per_step);
+      cap_hit |= attempts ==
+                 static_cast<std::uint64_t>(p.max_extravasate_per_step);
+      ref.step();
+      ref_digests.push_back(ref.state_digest());
+      entered += ref.history().back().extravasated;
+    }
+    ASSERT_TRUE(cap_hit) << "the pool never reached the attempt cap";
+    ASSERT_GT(entered, 0u) << "no T cell extravasated";
+
+    for (const auto& [ranks, decomp] :
+         {std::pair{1, kBlock}, std::pair{3, kLinear}, std::pair{6, kBlock}}) {
+      cpu::CpuSimOptions opt;
+      opt.num_ranks = ranks;
+      opt.decomp = decomp;
+      opt.record_digests = true;
+      const auto r = cpu::run_cpu_sim(p, foi, opt);
+      EXPECT_EQ(first_divergence(ref_digests, r.digests), -1)
+          << "cpu ranks=" << ranks;
+      if (ranks > 1) {
+        EXPECT_GT(r.total_rpcs, 0u) << "cpu ranks=" << ranks;
+      }
+    }
+    if (dim_z == 1) {
+      gpu::GpuSimOptions opt;
+      opt.num_ranks = 4;
+      opt.record_digests = true;
+      const auto g = gpu::run_gpu_sim(p, foi, opt);
+      EXPECT_EQ(first_divergence(ref_digests, g.digests), -1) << "gpu ranks=4";
+    }
   }
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <initializer_list>
+#include <random>
+
 #include "core/grid.hpp"
 
 namespace simcov {
@@ -19,6 +23,28 @@ TEST(Grid, RoundTrip3D) {
   EXPECT_EQ(g.num_voxels(), 60u);
   for (VoxelId id = 0; id < g.num_voxels(); ++id) {
     EXPECT_EQ(g.to_id(g.to_coord(id)), id);
+  }
+}
+
+// to_coord splits an id through precomputed reciprocals; check it against
+// plain 64-bit / and % on random ids (and both ends of the id range) for
+// grids with unit dimensions, non-powers of two and close to 2^32 voxels.
+TEST(Grid, ToCoordMatchesDivisionOnRandomIds) {
+  std::mt19937_64 gen(0x9e1dULL);
+  for (const auto& [dx, dy, dz] : std::initializer_list<std::array<int, 3>>{
+           {1, 1, 1}, {1, 17, 1}, {23, 1, 1}, {7, 5, 1}, {1000, 1, 3},
+           {1, 1, 9}, {1, 31, 4}, {37, 29, 1}, {13, 11, 7}, {514, 3, 5},
+           {65535, 65535, 1}, {2047, 2049, 1023}}) {
+    const Grid g(dx, dy, dz);
+    const VoxelId n = g.num_voxels();
+    for (int i = 0; i < 4000; ++i) {
+      const VoxelId id = i == 0 ? 0 : i == 1 ? n - 1 : gen() % n;
+      const Coord c = g.to_coord(id);
+      const auto ux = static_cast<VoxelId>(dx), uy = static_cast<VoxelId>(dy);
+      ASSERT_EQ(c.x, static_cast<std::int32_t>(id % ux)) << id;
+      ASSERT_EQ(c.y, static_cast<std::int32_t>(id / ux % uy)) << id;
+      ASSERT_EQ(c.z, static_cast<std::int32_t>(id / ux / uy)) << id;
+    }
   }
 }
 

@@ -260,25 +260,6 @@ TEST(TiledLayout, DivisionFreeAddressingMatchesDivisionFormulas) {
   }
 }
 
-TEST(DivU32, MatchesDivisionAtTheEdgesOfTheNumeratorRange) {
-  std::vector<std::uint32_t> divisors;
-  for (std::uint32_t d = 1; d <= 1100; ++d) divisors.push_back(d);
-  for (std::uint32_t d : {4095u, 4096u, 4097u, 65535u, 65536u, 65537u,
-                          1000003u, 0x7fffffffu, 0x80000000u, 0x80000001u,
-                          0xfffffffeu, 0xffffffffu}) {
-    divisors.push_back(d);
-  }
-  for (const std::uint32_t d : divisors) {
-    const DivU32 div(d);
-    EXPECT_EQ(div.divisor(), d);
-    for (const std::uint32_t n :
-         {0u, d - 1, d, d + 1, 2 * d - 1, 0xffffffffu - 1, 0xffffffffu}) {
-      ASSERT_EQ(div.div(n), n / d) << n << " / " << d;
-    }
-  }
-  EXPECT_THROW(DivU32(0), Error);
-}
-
 TEST(TiledLayout, InvalidConfigsThrow) {
   EXPECT_THROW(TiledLayout(0, 4, 2), Error);
   EXPECT_THROW(TiledLayout(4, 4, 0), Error);

@@ -1,9 +1,13 @@
 // Counter-based RNG: determinism, stream independence, statistical smoke
-// checks, bid construction (§3.1 tie-freedom).
+// checks, bid construction (§3.1 tie-freedom), and the step-keyed StepRng
+// against the original five-round draw chain, bit for bit.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <limits>
+#include <random>
 #include <set>
 #include <vector>
 
@@ -124,9 +128,124 @@ TEST(CounterRng, PoissonNegativeMeanThrows) {
   EXPECT_THROW(rng.poisson(0, 0, RngStream::kGeneric, -1.0), Error);
 }
 
+// ---------------------------------------------------------------------------
+// StepRng: CounterRng::at(step) must reproduce the draws every backend and
+// every recorded digest were built on.  The reference below spells out the
+// original chain (seed, step, entity, stream, salt: one SplitMix64 round
+// each) without going through rng.hpp, so both generators are pinned to it.
+// ---------------------------------------------------------------------------
+
+std::uint64_t chain_mix(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+struct DrawKey {
+  std::uint64_t seed, step, entity, stream, salt;
+};
+
+std::uint64_t chain_draw(const DrawKey& k) {
+  std::uint64_t h = chain_mix(k.seed ^ 0x243f6a8885a308d3ULL);
+  h = chain_mix(h ^ k.step);
+  h = chain_mix(h ^ k.entity);
+  h = chain_mix(h ^ k.stream);
+  return chain_mix(h ^ k.salt);
+}
+
+double chain_uniform(const DrawKey& k) {
+  return static_cast<double>(chain_draw(k) >> 11) *
+         (1.0 / 9007199254740992.0);
+}
+
+std::uint32_t chain_poisson(DrawKey k, double mean) {
+  if (mean == 0.0) return 0;
+  const double limit = std::exp(-mean);
+  const auto cap =
+      static_cast<std::uint32_t>(mean + 40.0 * std::sqrt(mean) + 16.0);
+  double product = 1.0;
+  std::uint32_t n = 0;
+  while (n < cap) {
+    k.salt = n + 1;
+    product *= chain_uniform(k);
+    if (product <= limit) break;
+    ++n;
+  }
+  return n;
+}
+
+/// Randomized keys with every component also taking 0 and 2^64 - 1.
+std::vector<DrawKey> draw_keys() {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  std::mt19937_64 gen(0x5eedULL);
+  std::vector<DrawKey> keys;
+  for (int i = 0; i < 400; ++i) {
+    keys.push_back({gen(), gen(), gen(), gen(), gen() % 4 ? gen() : 0});
+  }
+  for (int field = 0; field < 5; ++field) {
+    for (const std::uint64_t edge : {std::uint64_t{0}, kMax}) {
+      DrawKey k{gen(), gen(), gen(), gen(), gen()};
+      std::array<std::uint64_t*, 5> f{&k.seed, &k.step, &k.entity, &k.stream,
+                                      &k.salt};
+      *f[static_cast<std::size_t>(field)] = edge;
+      keys.push_back(k);
+    }
+  }
+  keys.push_back({0, 0, 0, 0, 0});
+  keys.push_back({kMax, kMax, kMax, kMax, kMax});
+  return keys;
+}
+
+TEST(StepRng, DrawUniformIntAndBernoulliMatchTheChainBitForBit) {
+  for (const DrawKey& k : draw_keys()) {
+    const CounterRng crng(k.seed);
+    const StepRng srng = crng.at(k.step);
+    const auto stream = static_cast<RngStream>(k.stream);
+    const std::uint64_t want = chain_draw(k);
+    ASSERT_EQ(srng.draw(k.entity, stream, k.salt), want);
+    ASSERT_EQ(crng.draw(k.step, k.entity, stream, k.salt), want);
+
+    const double u = chain_uniform(k);
+    ASSERT_EQ(srng.uniform(k.entity, stream, k.salt), u);
+    ASSERT_EQ(crng.uniform(k.step, k.entity, stream, k.salt), u);
+
+    for (const std::uint32_t n : {1u, 2u, 3u, 7u, 4096u, 0xffffffffu}) {
+      const auto want_int = static_cast<std::uint32_t>(
+          (static_cast<unsigned __int128>(want) * n) >> 64);
+      ASSERT_EQ(srng.uniform_int(k.entity, stream, n, k.salt), want_int);
+      ASSERT_EQ(crng.uniform_int(k.step, k.entity, stream, n, k.salt),
+                want_int);
+    }
+    for (const double p : {-0.5, 0.0, 1e-9, 0.3, 0.5, 0.999, 1.0, 2.0}) {
+      const bool want_hit = p >= 1.0 || (p > 0.0 && u < p);
+      ASSERT_EQ(srng.bernoulli(k.entity, stream, p, k.salt), want_hit);
+      ASSERT_EQ(crng.bernoulli(k.step, k.entity, stream, p, k.salt),
+                want_hit);
+    }
+  }
+}
+
+TEST(StepRng, PoissonMatchesTheChainBitForBit) {
+  const std::vector<DrawKey> keys = draw_keys();
+  for (const double mean : {0.0, 1.0, 30.0, 120.0}) {
+    for (std::size_t i = 0; i < keys.size(); i += 3) {
+      const DrawKey& k = keys[i];
+      const auto stream = static_cast<RngStream>(k.stream);
+      const std::uint32_t want = chain_poisson(k, mean);
+      ASSERT_EQ(CounterRng(k.seed).at(k.step).poisson(k.entity, stream, mean),
+                want)
+          << "mean=" << mean;
+      ASSERT_EQ(CounterRng(k.seed).poisson(k.step, k.entity, stream, mean),
+                want)
+          << "mean=" << mean;
+    }
+  }
+}
+
 TEST(Bid, EncodesSourceVoxel) {
   const CounterRng rng(77);
-  const std::uint64_t bid = make_bid(rng, 10, 123456, RngStream::kTCellBid);
+  const std::uint64_t bid = make_bid(rng.at(10), 123456, RngStream::kTCellBid);
   EXPECT_EQ(bid_source(bid), 123456u);
 }
 
@@ -136,7 +255,7 @@ TEST(Bid, DistinctSourcesNeverTie) {
   const CounterRng rng(77);
   std::set<std::uint64_t> bids;
   for (VoxelId v = 0; v < 4096; ++v) {
-    bids.insert(make_bid(rng, 3, v, RngStream::kTCellBid));
+    bids.insert(make_bid(rng.at(3), v, RngStream::kTCellBid));
   }
   EXPECT_EQ(bids.size(), 4096u);
 }
@@ -145,7 +264,7 @@ TEST(Bid, WinnerIndependentOfComparisonOrder) {
   const CounterRng rng(7);
   std::vector<std::uint64_t> bids;
   for (VoxelId v = 10; v < 20; ++v) {
-    bids.push_back(make_bid(rng, 4, v, RngStream::kTCellBid));
+    bids.push_back(make_bid(rng.at(4), v, RngStream::kTCellBid));
   }
   std::uint64_t forward = 0;
   for (auto b : bids) forward = std::max(forward, b);

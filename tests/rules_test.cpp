@@ -22,8 +22,8 @@ TEST(EpiRules, HealthyStaysHealthyWithoutVirus) {
   const CounterRng rng(1);
   const SimParams p = params();
   for (std::uint64_t step = 0; step < 200; ++step) {
-    const EpiUpdate u = update_epithelial(rng, step, 5, EpiState::kHealthy, 0,
-                                          0.0f, p);
+    const EpiUpdate u =
+        update_epithelial(rng.at(step), 5, EpiState::kHealthy, 0, 0.0f, p);
     ASSERT_EQ(u.state, EpiState::kHealthy);
   }
 }
@@ -34,8 +34,8 @@ TEST(EpiRules, HealthyEventuallyIncubatesUnderVirus) {
   p.infectivity = 0.5;
   int infected = 0;
   for (std::uint64_t step = 0; step < 200; ++step) {
-    const EpiUpdate u = update_epithelial(rng, step, 5, EpiState::kHealthy, 0,
-                                          1.0f, p);
+    const EpiUpdate u =
+        update_epithelial(rng.at(step), 5, EpiState::kHealthy, 0, 1.0f, p);
     if (u.state == EpiState::kIncubating) {
       ++infected;
       EXPECT_GE(u.timer, 1u);
@@ -47,10 +47,11 @@ TEST(EpiRules, HealthyEventuallyIncubatesUnderVirus) {
 TEST(EpiRules, IncubatingCountsDownThenExpresses) {
   const CounterRng rng(2);
   const SimParams p = params();
-  EpiUpdate u = update_epithelial(rng, 0, 9, EpiState::kIncubating, 3, 0.0f, p);
+  EpiUpdate u =
+      update_epithelial(rng.at(0), 9, EpiState::kIncubating, 3, 0.0f, p);
   EXPECT_EQ(u.state, EpiState::kIncubating);
   EXPECT_EQ(u.timer, 2u);
-  u = update_epithelial(rng, 1, 9, EpiState::kIncubating, 1, 0.0f, p);
+  u = update_epithelial(rng.at(1), 9, EpiState::kIncubating, 1, 0.0f, p);
   EXPECT_EQ(u.state, EpiState::kExpressing);
   EXPECT_GE(u.timer, 1u);
 }
@@ -58,20 +59,21 @@ TEST(EpiRules, IncubatingCountsDownThenExpresses) {
 TEST(EpiRules, ExpressingAndApoptoticDie) {
   const CounterRng rng(2);
   const SimParams p = params();
-  EXPECT_EQ(update_epithelial(rng, 0, 9, EpiState::kExpressing, 1, 0.0f, p).state,
+  const StepRng r0 = rng.at(0);
+  EXPECT_EQ(update_epithelial(r0, 9, EpiState::kExpressing, 1, 0.0f, p).state,
             EpiState::kDead);
-  EXPECT_EQ(update_epithelial(rng, 0, 9, EpiState::kApoptotic, 1, 0.0f, p).state,
+  EXPECT_EQ(update_epithelial(r0, 9, EpiState::kApoptotic, 1, 0.0f, p).state,
             EpiState::kDead);
-  EXPECT_EQ(update_epithelial(rng, 0, 9, EpiState::kApoptotic, 5, 0.0f, p).timer,
+  EXPECT_EQ(update_epithelial(r0, 9, EpiState::kApoptotic, 5, 0.0f, p).timer,
             4u);
 }
 
 TEST(EpiRules, TerminalStatesAreInert) {
   const CounterRng rng(2);
   const SimParams p = params();
-  EXPECT_EQ(update_epithelial(rng, 0, 9, EpiState::kDead, 0, 1.0f, p).state,
+  EXPECT_EQ(update_epithelial(rng.at(0), 9, EpiState::kDead, 0, 1.0f, p).state,
             EpiState::kDead);
-  EXPECT_EQ(update_epithelial(rng, 0, 9, EpiState::kEmpty, 0, 1.0f, p).state,
+  EXPECT_EQ(update_epithelial(rng.at(0), 9, EpiState::kEmpty, 0, 1.0f, p).state,
             EpiState::kEmpty);
 }
 
@@ -89,7 +91,8 @@ TEST(EpiRules, ProductionFlags) {
 TEST(EpiRules, SamplePeriodAtLeastOne) {
   const CounterRng rng(3);
   for (std::uint64_t v = 0; v < 500; ++v) {
-    EXPECT_GE(sample_period(rng, 0, v, RngStream::kApoptosisPeriod, 0.1), 1u);
+    EXPECT_GE(sample_period(rng.at(0), v, RngStream::kApoptosisPeriod, 0.1),
+              1u);
   }
 }
 
@@ -161,7 +164,7 @@ TEST(IntentRules, BindingPreferredOverMovement) {
   const CounterRng rng(5);
   const auto nb = make_view({EpiState::kHealthy, EpiState::kExpressing,
                              EpiState::kHealthy, EpiState::kHealthy});
-  const Intent i = tcell_intent(rng, 0, 50, EpiState::kHealthy, nb);
+  const Intent i = tcell_intent(rng.at(0), 50, EpiState::kHealthy, nb);
   EXPECT_EQ(i.kind, IntentKind::kBind);
   EXPECT_EQ(i.target, 101u);  // the only expressing candidate
 }
@@ -169,7 +172,7 @@ TEST(IntentRules, BindingPreferredOverMovement) {
 TEST(IntentRules, OwnVoxelIsFirstBindCandidate) {
   const CounterRng rng(5);
   const auto nb = make_view({EpiState::kHealthy, EpiState::kHealthy});
-  const Intent i = tcell_intent(rng, 0, 50, EpiState::kExpressing, nb);
+  const Intent i = tcell_intent(rng.at(0), 50, EpiState::kExpressing, nb);
   EXPECT_EQ(i.kind, IntentKind::kBind);
   EXPECT_EQ(i.target, 50u);
 }
@@ -177,7 +180,7 @@ TEST(IntentRules, OwnVoxelIsFirstBindCandidate) {
 TEST(IntentRules, IncubatingIsInvisible) {
   const CounterRng rng(5);
   const auto nb = make_view({EpiState::kIncubating, EpiState::kIncubating});
-  const Intent i = tcell_intent(rng, 0, 50, EpiState::kIncubating, nb);
+  const Intent i = tcell_intent(rng.at(0), 50, EpiState::kIncubating, nb);
   EXPECT_EQ(i.kind, IntentKind::kMove);  // nothing detectable -> random walk
 }
 
@@ -186,7 +189,7 @@ TEST(IntentRules, MovementAvoidsEmptyVoxels) {
   const auto nb = make_view({EpiState::kEmpty, EpiState::kDead,
                              EpiState::kEmpty, EpiState::kEmpty});
   for (std::uint64_t step = 0; step < 50; ++step) {
-    const Intent i = tcell_intent(rng, step, 50, EpiState::kHealthy, nb);
+    const Intent i = tcell_intent(rng.at(step), 50, EpiState::kHealthy, nb);
     ASSERT_EQ(i.kind, IntentKind::kMove);
     ASSERT_EQ(i.target, 101u);  // the only tissue neighbour (dead is tissue)
   }
@@ -195,7 +198,7 @@ TEST(IntentRules, MovementAvoidsEmptyVoxels) {
 TEST(IntentRules, NoTargetWhenFullySurroundedByAirways) {
   const CounterRng rng(5);
   const auto nb = make_view({EpiState::kEmpty, EpiState::kEmpty});
-  const Intent i = tcell_intent(rng, 0, 50, EpiState::kHealthy, nb);
+  const Intent i = tcell_intent(rng.at(0), 50, EpiState::kHealthy, nb);
   EXPECT_EQ(i.kind, IntentKind::kNone);
 }
 
@@ -207,7 +210,7 @@ TEST(IntentRules, MovementChoicesRoughlyUniform) {
   const int n = 8000;
   for (int step = 0; step < n; ++step) {
     const Intent i =
-        tcell_intent(rng, static_cast<std::uint64_t>(step), 50,
+        tcell_intent(rng.at(static_cast<std::uint64_t>(step)), 50,
                      EpiState::kHealthy, nb);
     ++counts[i.target - 100];
   }
@@ -217,8 +220,8 @@ TEST(IntentRules, MovementChoicesRoughlyUniform) {
 TEST(IntentRules, BidMatchesMakeBidContract) {
   const CounterRng rng(5);
   const auto nb = make_view({EpiState::kHealthy});
-  const Intent i = tcell_intent(rng, 7, 42, EpiState::kHealthy, nb);
-  EXPECT_EQ(i.bid, make_bid(rng, 7, 42, RngStream::kTCellBid));
+  const Intent i = tcell_intent(rng.at(7), 42, EpiState::kHealthy, nb);
+  EXPECT_EQ(i.bid, make_bid(rng.at(7), 42, RngStream::kTCellBid));
   EXPECT_EQ(bid_source(i.bid), 42u);
 }
 
@@ -236,7 +239,7 @@ TEST(ExtravasationRules, AttemptCountFloorsAndCaps) {
 TEST(ExtravasationRules, AttemptVoxelInRange) {
   const CounterRng rng(9);
   for (std::uint64_t i = 0; i < 1000; ++i) {
-    EXPECT_LT(attempt_voxel(rng, 3, i, 77), 77u);
+    EXPECT_LT(attempt_voxel(rng.at(3), i, 77), 77u);
   }
 }
 
@@ -244,12 +247,12 @@ TEST(ExtravasationRules, AcceptanceProportionalToSignal) {
   const CounterRng rng(9);
   int lo = 0, hi = 0;
   for (std::uint64_t i = 0; i < 20000; ++i) {
-    lo += attempt_accepted(rng, 1, i, 0.1f);
-    hi += attempt_accepted(rng, 2, i, 0.9f);
+    lo += attempt_accepted(rng.at(1), i, 0.1f);
+    hi += attempt_accepted(rng.at(2), i, 0.9f);
   }
   EXPECT_NEAR(lo, 2000, 300);
   EXPECT_NEAR(hi, 18000, 300);
-  EXPECT_FALSE(attempt_accepted(rng, 1, 0, 0.0f));  // zero signal never
+  EXPECT_FALSE(attempt_accepted(rng.at(1), 0, 0.0f));  // zero signal never
 }
 
 TEST(PoolRules, ProductionStartsAfterDelay) {

@@ -1,8 +1,12 @@
-// Config parsing and table rendering.
+// Config parsing, table rendering and the invariant-divisor divider.
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "util/config.hpp"
+#include "util/div_u32.hpp"
 #include "util/error.hpp"
 #include "util/table.hpp"
 
@@ -98,6 +102,39 @@ TEST(TextTable, CsvQuoting) {
   const std::string csv = t.to_csv();
   EXPECT_NE(csv.find("\"has,comma\""), std::string::npos);
   EXPECT_NE(csv.find("\"has\"\"quote\""), std::string::npos);
+}
+
+TEST(DivU32, MatchesDivisionAtTheEdgesOfTheNumeratorRange) {
+  std::vector<std::uint32_t> divisors;
+  for (std::uint32_t d = 1; d <= 1100; ++d) divisors.push_back(d);
+  for (std::uint32_t d : {4095u, 4096u, 4097u, 65535u, 65536u, 65537u,
+                          1000003u, 0x7fffffffu, 0x80000000u, 0x80000001u,
+                          0xfffffffeu, 0xffffffffu}) {
+    divisors.push_back(d);
+  }
+  for (const std::uint32_t d : divisors) {
+    const util::DivU32 div(d);
+    EXPECT_EQ(div.divisor(), d);
+    for (const std::uint32_t n :
+         {0u, d - 1, d, d + 1, 2 * d - 1, 0xffffffffu - 1, 0xffffffffu}) {
+      ASSERT_EQ(div.div(n), n / d) << n << " / " << d;
+    }
+  }
+  EXPECT_THROW(util::DivU32(0), Error);
+}
+
+TEST(DivU32, RandomNumeratorsMatchDivision) {
+  std::mt19937 gen(0xd1u);
+  for (const std::uint32_t d : {1u, 2u, 3u, 7u, 514u, 0x80000001u}) {
+    const util::DivU32 div(d);
+    for (const std::uint32_t n : {0u, d - 1, d, 0xffffffffu}) {
+      ASSERT_EQ(div.div(n), n / d) << n << " / " << d;
+    }
+    for (int i = 0; i < 20000; ++i) {
+      const std::uint32_t n = gen();
+      ASSERT_EQ(div.div(n), n / d) << n << " / " << d;
+    }
+  }
 }
 
 TEST(Fmt, FixedPrecision) {
